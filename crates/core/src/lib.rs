@@ -120,6 +120,7 @@
 pub mod accept;
 mod annealer;
 mod budget;
+pub mod json;
 pub mod local;
 pub mod metrics;
 mod problem;

@@ -30,6 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::{self, escape};
+
 /// Monotonic counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -438,18 +440,11 @@ impl Registry {
                 if i > 0 {
                     out.push(',');
                 }
-                let v = g.get();
-                let value = if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    // JSON has no NaN/Infinity; null mirrors the WAL
-                    // serializer's convention.
-                    "null".to_string()
-                };
                 out.push_str(&format!(
-                    "{{\"name\":\"{}\",{}\"value\":{value}}}",
+                    "{{\"name\":\"{}\",{}\"value\":{}}}",
                     escape(&id.name),
                     labels_json(id),
+                    json::float(g.get()),
                 ));
             }
         }
@@ -638,19 +633,6 @@ fn prom_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

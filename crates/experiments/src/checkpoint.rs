@@ -18,13 +18,14 @@
 //! is lossless), and the integration tests in `tests/resume.rs` lock that
 //! in.
 //!
-//! The JSON parser here is hand-rolled like the serializer in
-//! [`telemetry`](crate::telemetry) (this workspace builds with no registry
-//! access, so there is no serde).
+//! The file discipline (header, per-record flush, torn-tail reader) is
+//! [`jsonl`]'s; the JSON is [`anneal_core::json`]'s.
 
 use std::io::Write;
-use std::str::FromStr;
 
+use anneal_core::json::Json;
+
+use crate::jsonl::{self, Mode, Reject};
 use crate::telemetry::{
     CellFailure, CellKey, CellRecord, InstanceRecord, SupervisorEvent, TempAggregate,
 };
@@ -73,9 +74,11 @@ impl WalMeta {
 
     /// The header as one JSON line (no trailing newline).
     pub fn header_line(&self) -> String {
-        format!(
-            "{{\"wal\":\"{WAL_SCHEMA}\",\"version\":{},\"seed\":{},\"scale\":{}}}",
-            self.version, self.seed, self.scale
+        jsonl::header(
+            "wal",
+            WAL_SCHEMA,
+            self.version,
+            &format!(",\"seed\":{},\"scale\":{}", self.seed, self.scale),
         )
     }
 }
@@ -112,13 +115,12 @@ pub fn wal_line(record_json: &str, seq: u64) -> String {
 ///
 /// [`TelemetryLog::with_writer`]: crate::telemetry::TelemetryLog::with_writer
 pub fn create_wal(path: &str, meta: &WalMeta) -> Result<Box<dyn Write + Send>, String> {
-    let file =
-        std::fs::File::create(path).map_err(|e| format!("cannot create WAL `{path}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    writeln!(writer, "{}", meta.header_line())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot write WAL header to `{path}`: {e}"))?;
-    Ok(Box::new(writer))
+    Ok(Box::new(jsonl::open(
+        path,
+        &meta.header_line(),
+        Mode::Create,
+        "WAL",
+    )?))
 }
 
 /// Loads a WAL (or a headerless telemetry JSONL) from `path`, tolerating a
@@ -137,7 +139,7 @@ pub fn load_str(text: &str) -> Result<Checkpoint, String> {
         events: Vec::new(),
         torn: false,
     };
-    checkpoint.torn = scan_wal_lines(text, |i, value| {
+    checkpoint.torn = jsonl::scan(text, |i, _, value| {
         if i == 0 && value.get("wal").is_some() {
             checkpoint.meta = Some(meta_from_json(value)?);
         } else if value.get("sup").is_some() {
@@ -150,122 +152,81 @@ pub fn load_str(text: &str) -> Result<Checkpoint, String> {
     Ok(checkpoint)
 }
 
-/// The torn-line-tolerant scan every WAL-disciplined log in the workspace
-/// shares (the telemetry WAL here, the job journal in
-/// [`jobs`](crate::jobs)): parse each non-empty line as JSON and hand it —
-/// with its 0-based line index — to `visit`. A parse or visit failure on
-/// the *final* line is the expected signature of a killed writer: the line
-/// is dropped and the scan reports `Ok(true)` (torn). A failure anywhere
-/// earlier means real corruption and becomes an `Err` naming the 1-based
-/// line.
-pub fn scan_wal_lines<F>(text: &str, mut visit: F) -> Result<bool, String>
-where
-    F: FnMut(usize, &Json) -> Result<(), String>,
-{
-    let lines: Vec<&str> = text.lines().collect();
-    let n = lines.len();
-    let mut torn = false;
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let last = i + 1 == n;
-        match Json::parse(line).and_then(|value| visit(i, &value)) {
-            Ok(()) => {}
-            Err(_) if last => torn = true,
-            Err(e) => return Err(format!("corrupt record at line {}: {e}", i + 1)),
-        }
-    }
-    Ok(torn)
-}
-
 fn meta_from_json(v: &Json) -> Result<WalMeta, String> {
-    let schema = v.get("wal").and_then(Json::as_str).unwrap_or_default();
-    if schema != WAL_SCHEMA {
-        return Err(format!("unknown WAL schema `{schema}`"));
-    }
-    let version = field_u64(v, "version")?;
-    if version > WAL_VERSION {
-        return Err(format!(
-            "WAL version {version} is newer than supported {WAL_VERSION}"
-        ));
-    }
     Ok(WalMeta {
-        version,
-        seed: field_u64(v, "seed")?,
-        scale: field_u64(v, "scale")?,
+        version: jsonl::check_header(v, "wal", WAL_SCHEMA, WAL_VERSION, "WAL")?,
+        seed: v.u64_field("seed")?,
+        scale: v.u64_field("scale")?,
     })
 }
 
 /// Rebuilds a [`CellRecord`] from its parsed JSON line.
 pub fn record_from_json(v: &Json) -> Result<CellRecord, String> {
     let key = CellKey::new(
-        field_str(v, "table")?,
-        field_str(v, "method")?,
-        field_str(v, "column")?,
+        v.str_field("table")?,
+        v.str_field("method")?,
+        v.str_field("column")?,
     );
     let mut per_temp = Vec::new();
-    for t in field_arr(v, "per_temp")? {
+    for t in v.arr_field("per_temp")? {
         per_temp.push(TempAggregate {
-            temp: field_u64(t, "temp")? as usize,
-            evals: field_u64(t, "evals")?,
+            temp: t.u64_field("temp")? as usize,
+            evals: t.u64_field("evals")?,
             // Absent in pre-PR-4 records, where proposals were not tracked
             // per temperature.
-            proposals: t.get("proposals").map_or(Ok(0), Json::as_u64_checked)?,
-            accepted_downhill: field_u64(t, "accepted_downhill")?,
-            accepted_uphill: field_u64(t, "accepted_uphill")?,
-            rejected_uphill: field_u64(t, "rejected_uphill")?,
-            ended_budget: field_u64(t, "ended_budget")?,
-            ended_equilibrium: field_u64(t, "ended_equilibrium")?,
+            proposals: t.u64_field_or("proposals", 0)?,
+            accepted_downhill: t.u64_field("accepted_downhill")?,
+            accepted_uphill: t.u64_field("accepted_uphill")?,
+            rejected_uphill: t.u64_field("rejected_uphill")?,
+            ended_budget: t.u64_field("ended_budget")?,
+            ended_equilibrium: t.u64_field("ended_equilibrium")?,
             // Absent before WAL v2 (no replica-exchange strategy yet).
-            ended_exchange: t
-                .get("ended_exchange")
-                .map_or(Ok(0), Json::as_u64_checked)?,
-            swap_attempts: t.get("swap_attempts").map_or(Ok(0), Json::as_u64_checked)?,
-            swap_accepts: t.get("swap_accepts").map_or(Ok(0), Json::as_u64_checked)?,
+            ended_exchange: t.u64_field_or("ended_exchange", 0)?,
+            swap_attempts: t.u64_field_or("swap_attempts", 0)?,
+            swap_accepts: t.u64_field_or("swap_accepts", 0)?,
             // Absent before WAL v3 (adaptive temperature control).
-            temperature: optional_f64(t, "temperature")?,
-            target_acceptance: optional_f64(t, "target_acceptance")?,
+            temperature: t.f64_field_or_nan("temperature")?,
+            target_acceptance: t.f64_field_or_nan("target_acceptance")?,
         });
     }
     let mut per_instance = Vec::new();
-    for r in field_arr(v, "per_instance")? {
+    for r in v.arr_field("per_instance")? {
         per_instance.push(InstanceRecord {
-            index: field_u64(r, "instance")? as usize,
-            seed: field_u64(r, "seed")?,
-            reduction: field_f64(r, "reduction")?,
-            evals: field_u64(r, "evals")?,
-            wall_ms: field_f64(r, "wall_ms")?,
-            stop: stop_label(field_str(r, "stop")?)?,
-            accepted_downhill: field_u64(r, "accepted_downhill")?,
-            accepted_uphill: field_u64(r, "accepted_uphill")?,
-            rejected_uphill: field_u64(r, "rejected_uphill")?,
+            index: r.u64_field("instance")? as usize,
+            seed: r.u64_field("seed")?,
+            reduction: r.f64_field("reduction")?,
+            evals: r.u64_field("evals")?,
+            wall_ms: r.f64_field("wall_ms")?,
+            stop: stop_label(r.str_field("stop")?)?,
+            accepted_downhill: r.u64_field("accepted_downhill")?,
+            accepted_uphill: r.u64_field("accepted_uphill")?,
+            rejected_uphill: r.u64_field("rejected_uphill")?,
         });
     }
     let mut failures = Vec::new();
-    for f in field_arr(v, "failures")? {
+    for f in v.arr_field("failures")? {
         failures.push(CellFailure {
-            instance: field_u64(f, "instance")? as usize,
-            seed: field_u64(f, "seed")?,
-            message: field_str(f, "message")?.to_string(),
+            instance: f.u64_field("instance")? as usize,
+            seed: f.u64_field("seed")?,
+            message: f.str_field("message")?.to_string(),
         });
     }
     Ok(CellRecord {
         key,
-        strategy: field_str(v, "strategy")?.to_string(),
-        budget: field_str(v, "budget")?.to_string(),
-        base_seed: field_u64(v, "base_seed")?,
-        instances: field_u64(v, "instances")? as usize,
-        reduction: field_f64(v, "reduction")?,
-        evals: field_u64(v, "evals")?,
-        wall_ms: field_f64(v, "wall_ms")?,
-        accepted_downhill: field_u64(v, "accepted_downhill")?,
-        accepted_uphill: field_u64(v, "accepted_uphill")?,
-        rejected_uphill: field_u64(v, "rejected_uphill")?,
-        stops_budget: field_u64(v, "stops_budget")? as usize,
-        stops_equilibrium: field_u64(v, "stops_equilibrium")? as usize,
+        strategy: v.str_field("strategy")?.to_string(),
+        budget: v.str_field("budget")?.to_string(),
+        base_seed: v.u64_field("base_seed")?,
+        instances: v.u64_field("instances")? as usize,
+        reduction: v.f64_field("reduction")?,
+        evals: v.u64_field("evals")?,
+        wall_ms: v.f64_field("wall_ms")?,
+        accepted_downhill: v.u64_field("accepted_downhill")?,
+        accepted_uphill: v.u64_field("accepted_uphill")?,
+        rejected_uphill: v.u64_field("rejected_uphill")?,
+        stops_budget: v.u64_field("stops_budget")? as usize,
+        stops_equilibrium: v.u64_field("stops_equilibrium")? as usize,
         // Absent in pre-WAL (v0) telemetry lines: one attempt was made.
-        attempts: v.get("attempts").map_or(Ok(1), Json::as_u64_checked)? as u32,
+        attempts: v.u64_field_or("attempts", 1)? as u32,
         per_temp,
         per_instance,
         failures,
@@ -277,16 +238,16 @@ pub fn record_from_json(v: &Json) -> Result<CellRecord, String> {
 pub fn event_from_json(v: &Json) -> Result<SupervisorEvent, String> {
     let cell = match v.get("table") {
         Some(_) => Some(CellKey::new(
-            field_str(v, "table")?,
-            field_str(v, "method")?,
-            field_str(v, "column")?,
+            v.str_field("table")?,
+            v.str_field("method")?,
+            v.str_field("column")?,
         )),
         None => None,
     };
     Ok(SupervisorEvent {
-        kind: field_str(v, "sup")?.to_string(),
+        kind: v.str_field("sup")?.to_string(),
         cell,
-        detail: field_str(v, "detail")?.to_string(),
+        detail: v.str_field("detail")?.to_string(),
     })
 }
 
@@ -296,22 +257,12 @@ pub fn event_from_json(v: &Json) -> Result<SupervisorEvent, String> {
 /// discipline as the main WAL; an existing shard is appended to, which is
 /// how a retried worker continues the same file.
 pub fn open_shard(path: &str, meta: &WalMeta) -> Result<Box<dyn Write + Send>, String> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open WAL shard `{path}`: {e}"))?;
-    let fresh = file
-        .metadata()
-        .map(|m| m.len() == 0)
-        .map_err(|e| format!("cannot stat WAL shard `{path}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    if fresh {
-        writeln!(writer, "{}", meta.header_line())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write WAL shard header to `{path}`: {e}"))?;
-    }
-    Ok(Box::new(writer))
+    Ok(Box::new(jsonl::open(
+        path,
+        &meta.header_line(),
+        Mode::Append,
+        "WAL shard",
+    )?))
 }
 
 /// Deterministically merges WAL shard texts into one single-writer WAL.
@@ -332,56 +283,35 @@ pub fn merge_shards(texts: &[&str]) -> Result<String, String> {
     let mut meta: Option<WalMeta> = None;
     let mut by_seq: std::collections::BTreeMap<u64, String> = std::collections::BTreeMap::new();
     for (shard_idx, text) in texts.iter().enumerate() {
-        let lines: Vec<&str> = text.lines().collect();
-        let n = lines.len();
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let last = i + 1 == n;
+        jsonl::scan(text, |i, line, value| {
             // A parseable header that *disagrees* is a real conflict, not
-            // a torn tail — check it before the torn-line tolerance below
-            // (a shard may hold nothing but its header line).
-            if i == 0 {
-                if let Ok(value) = Json::parse(line) {
-                    if value.get("wal").is_some() {
-                        let this = meta_from_json(&value)?;
-                        match meta {
-                            None => meta = Some(this),
-                            Some(first) if first == this => {}
-                            Some(first) => {
-                                return Err(format!(
-                                    "shard {shard_idx}: header disagrees with shard 0: \
-                                     {this:?} vs {first:?}"
-                                ));
-                            }
-                        }
-                        continue;
+            // a torn tail, even on the last line (a shard may hold nothing
+            // but its header line).
+            if i == 0 && value.get("wal").is_some() {
+                let this = meta_from_json(value).map_err(Reject::Fatal)?;
+                match meta {
+                    None => meta = Some(this),
+                    Some(first) if first == this => {}
+                    Some(first) => {
+                        return Err(Reject::Fatal(format!(
+                            "header disagrees with shard 0: {this:?} vs {first:?}"
+                        )));
                     }
                 }
+            } else if value.get("sup").is_some() {
+                event_from_json(value)?;
+            } else {
+                // Validate the whole record, not just the seq field — a
+                // half-written line must count as torn, not merge.
+                record_from_json(value)?;
+                let seq = value
+                    .u64_field("seq")
+                    .map_err(|e| format!("record without a mergeable seq: {e}"))?;
+                by_seq.insert(seq, line.to_string());
             }
-            let parsed: Result<(), String> = (|| {
-                let value = Json::parse(line)?;
-                if value.get("sup").is_some() {
-                    event_from_json(&value)?;
-                } else {
-                    // Validate the whole record, not just the seq field — a
-                    // half-written line must count as torn, not merge.
-                    record_from_json(&value)?;
-                    let seq = field_u64(&value, "seq")
-                        .map_err(|e| format!("record without a mergeable seq: {e}"))?;
-                    by_seq.insert(seq, line.to_string());
-                }
-                Ok(())
-            })();
-            match parsed {
-                Ok(()) => {}
-                Err(_) if last => {}
-                Err(e) => {
-                    return Err(format!("shard {shard_idx}: corrupt line {}: {e}", i + 1));
-                }
-            }
-        }
+            Ok(())
+        })
+        .map_err(|e| format!("shard {shard_idx}: {e}"))?;
     }
     let meta = meta.ok_or("no shard carried a WAL header")?;
     let mut out = meta.header_line();
@@ -403,376 +333,10 @@ fn stop_label(s: &str) -> Result<&'static str, String> {
     }
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn field_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?.as_u64_checked()
-}
-
-/// `null` maps back to NaN (the serializer writes non-finite floats as
-/// `null`).
-fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
-    match field(v, key)? {
-        Json::Null => Ok(f64::NAN),
-        other => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
-    }
-}
-
-/// [`field_f64`] for fields older schema versions did not write: absent
-/// and `null` both map to NaN ("no data").
-fn optional_f64(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(f64::NAN),
-        Some(other) => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
-    }
-}
-
-/// A parsed JSON value. Numbers keep their source lexeme so `u64` seeds
-/// round-trip without `f64` precision loss and `f64` values round-trip
-/// bitwise.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, as its source lexeme.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion order preserved).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON value; trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number as `f64`, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(lexeme) => f64::from_str(lexeme).ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `u64` (exact, no float round-trip), with an error
-    /// naming the problem otherwise.
-    pub fn as_u64_checked(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(lexeme) => u64::from_str(lexeme)
-                .map_err(|_| format!("number `{lexeme}` is not an unsigned integer")),
-            _ => Err("value is not a number".to_string()),
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The fields in insertion order, if this is an object. Strict parsers
-    /// (the job-spec parser) walk this to reject unknown keys instead of
-    /// silently ignoring a client's typo.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-fn field_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            self.pos += 4;
-                            // The serializer only emits \u for control
-                            // characters (< 0x20); surrogate pairs are not
-                            // produced and not supported.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid \\u code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Consumes a run of ASCII digits, returning how many there were.
-    fn digit_run(&mut self) -> usize {
-        let start = self.pos;
-        while let Some(b'0'..=b'9') = self.peek() {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
-    /// Scans one number by the JSON grammar — `-? digits (. digits)?
-    /// ([eE] [+-]? digits)?` — stopping at the first byte that cannot
-    /// continue it. Malformed tokens like `1e+`, `--5` or a bare `-` fail
-    /// here with a positioned message instead of being consumed whole and
-    /// surfacing as an opaque `from_str` failure; a token like `1-2` stops
-    /// after `1` and the `-` is rejected by the caller as trailing input.
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        if self.digit_run() == 0 {
-            return Err(format!("expected digit in number at byte {}", self.pos));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if self.digit_run() == 0 {
-                return Err(format!(
-                    "expected digit after `.` in number at byte {}",
-                    self.pos
-                ));
-            }
-        }
-        if let Some(b'e' | b'E') = self.peek() {
-            self.pos += 1;
-            if let Some(b'+' | b'-') = self.peek() {
-                self.pos += 1;
-            }
-            if self.digit_run() == 0 {
-                return Err(format!("expected digit in exponent at byte {}", self.pos));
-            }
-        }
-        let lexeme = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII number lexeme")
-            .to_string();
-        if f64::from_str(&lexeme).is_err() {
-            return Err(format!("bad number `{lexeme}` at byte {start}"));
-        }
-        Ok(Json::Num(lexeme))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use anneal_core::Budget;
-
-    #[test]
-    fn parser_handles_the_basics() {
-        let v = Json::parse(r#"{"a":1,"b":[true,null,"x\n\"y"],"c":{"d":-2.5e3}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_u64_checked().unwrap(), 1);
-        let arr = v.get("b").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0], Json::Bool(true));
-        assert_eq!(arr[1], Json::Null);
-        assert_eq!(arr[2].as_str().unwrap(), "x\n\"y");
-        assert_eq!(
-            v.get("c").unwrap().get("d").unwrap().as_f64(),
-            Some(-2500.0)
-        );
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("{\"a\":}").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn u64_seeds_round_trip_exactly() {
-        let big = u64::MAX - 3;
-        let v = Json::parse(&format!("{{\"seed\":{big}}}")).unwrap();
-        assert_eq!(v.get("seed").unwrap().as_u64_checked().unwrap(), big);
-    }
 
     fn sample_record(reduction: f64) -> CellRecord {
         let mut r = CellRecord::empty(
@@ -1161,30 +725,5 @@ mod tests {
         let cp = load_str(&text).unwrap();
         assert_eq!(cp.meta, Some(meta));
         assert_eq!(cp.cells.len(), 2, "append across reopens kept both");
-    }
-
-    #[test]
-    fn number_scanner_rejects_malformed_tokens_with_position() {
-        // Tokens the old scanner consumed whole and failed on opaquely.
-        for (text, expect) in [
-            ("{\"a\":1e+}", "exponent"),
-            ("{\"a\":-}", "digit in number"),
-            ("{\"a\":1e}", "exponent"),
-            ("{\"a\":--5}", "digit in number"),
-            ("{\"a\":1.}", "digit after `.`"),
-        ] {
-            let err = Json::parse(text).unwrap_err();
-            assert!(err.contains(expect), "`{text}` → `{err}`");
-            assert!(err.contains("byte"), "`{text}` error is positioned: {err}");
-        }
-        // Grammar stops after a complete number; what follows is rejected
-        // by the caller with its own position.
-        let err = Json::parse("{\"a\":1.2.3}").unwrap_err();
-        assert!(err.contains("byte 8"), "{err}");
-        let err = Json::parse("{\"a\":1-2}").unwrap_err();
-        assert!(err.contains("byte 6"), "{err}");
-        // Healthy lexemes still parse, including negative exponents.
-        let v = Json::parse("{\"a\":-2.5e-3}").unwrap();
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(-0.0025));
     }
 }

@@ -32,13 +32,13 @@
 //! recorded outcome.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use anneal_core::json::{self, escape, Json};
 use anneal_core::schedule::adaptive::AdaptiveMode;
 use anneal_core::{
     derive_seed, metrics, watchdog, Budget, GFunction, NoopObserver, Problem, Strategy,
@@ -52,11 +52,11 @@ use anneal_tsp::{TspInstance, TspProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::budgetmap::Scale;
-use crate::checkpoint::{scan_wal_lines, wal_line, Json};
+use crate::checkpoint::wal_line;
 use crate::instances::{DEFAULT_SEED, NOLA_PIN_RANGE};
+use crate::jsonl::{self, Mode};
 use crate::runner::{adapt_schedule_for, run_strategy, PROBE_SALT, RUN_SALT};
 use crate::scheduler::{PushError, TaskQueue};
-use crate::telemetry::{escape_json, json_f64};
 
 /// Schema tag of a job result record.
 pub const JOB_SCHEMA: &str = "anneal-job-record";
@@ -513,7 +513,7 @@ impl JobSpec {
         }
         s.push_str(&format!(",\"method\":\"{}\"", self.method.as_str()));
         if let Some(t) = self.temperature {
-            s.push_str(&format!(",\"temperature\":{}", json_f64(t)));
+            s.push_str(&format!(",\"temperature\":{}", json::float(t)));
         }
         s.push_str(&format!(
             ",\"strategy\":\"{}\"",
@@ -530,7 +530,7 @@ impl JobSpec {
         }
         s.push_str(&format!(
             ",\"seconds\":{},\"scale\":{},\"seed\":{}",
-            json_f64(self.seconds),
+            json::float(self.seconds),
             self.scale,
             self.seed
         ));
@@ -711,7 +711,7 @@ impl JobSpec {
              \"budget\":\"{}\",\"reduction\":{},\"evals\":{evals},\"per_instance\":[",
             self.to_json(),
             self.budget(),
-            json_f64(reduction),
+            json::float(reduction),
         ));
         for (i, o) in outs.iter().enumerate() {
             if i > 0 {
@@ -722,10 +722,10 @@ impl JobSpec {
                  \"reduction\":{},\"evals\":{},\"stop\":\"{}\",\"accepted_downhill\":{},\
                  \"accepted_uphill\":{},\"rejected_uphill\":{}}}",
                 o.seed,
-                json_f64(o.initial),
-                json_f64(o.best),
-                json_f64(o.final_cost),
-                json_f64(o.reduction),
+                json::float(o.initial),
+                json::float(o.best),
+                json::float(o.final_cost),
+                json::float(o.reduction),
                 o.evals,
                 o.stop,
                 o.accepted_downhill,
@@ -918,7 +918,7 @@ impl JobEntry {
             s.push_str(",\"cancel_requested\":true");
         }
         if let Some(e) = &self.error {
-            s.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
+            s.push_str(&format!(",\"error\":\"{}\"", escape(e)));
         }
         if let Some(r) = &self.record {
             s.push_str(&format!(",\"record\":{r}"));
@@ -939,9 +939,11 @@ impl Journal {
     /// written and flushed before the caller's HTTP response leaves.
     fn append(&mut self, event_json: &str) -> Result<(), String> {
         self.seq += 1;
-        writeln!(self.writer, "{}", wal_line(event_json, self.seq))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("cannot append to job journal `{}`: {e}", self.path))
+        jsonl::append(
+            &mut self.writer,
+            &format!("{}\n", wal_line(event_json, self.seq)),
+        )
+        .map_err(|e| format!("cannot append to job journal `{}`: {e}", self.path))
     }
 }
 
@@ -987,7 +989,7 @@ impl Inner {
 }
 
 fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", escape_json(message))
+    format!("{{\"error\":\"{}\"}}", escape(message))
 }
 
 /// The queued job server: a bounded submission queue, a worker pool
@@ -1270,7 +1272,7 @@ fn worker_loop(inner: &Inner) {
                     JobState::Done,
                     format!(
                         "{{\"job\":{id},\"event\":\"done\",\"record\":\"{}\"}}",
-                        escape_json(&record)
+                        escape(&record)
                     ),
                 )
             }
@@ -1280,7 +1282,7 @@ fn worker_loop(inner: &Inner) {
                     JobState::Failed,
                     format!(
                         "{{\"job\":{id},\"event\":\"failed\",\"error\":\"{}\"}}",
-                        escape_json(&error)
+                        escape(&error)
                     ),
                 )
             }
@@ -1297,30 +1299,14 @@ fn worker_loop(inner: &Inner) {
 }
 
 fn journal_header() -> String {
-    format!("{{\"wal\":\"{JOURNAL_SCHEMA}\",\"version\":{JOURNAL_VERSION}}}")
+    jsonl::header("wal", JOURNAL_SCHEMA, JOURNAL_VERSION, "")
 }
 
 /// Opens (creating if absent) the journal in append mode, writing the
-/// versioned header only when the file is fresh — `open_shard`'s
-/// discipline with the jobs schema.
+/// versioned header only when the file is fresh.
 fn open_journal(path: &str) -> Result<Journal, String> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open job journal `{path}`: {e}"))?;
-    let fresh = file
-        .metadata()
-        .map(|m| m.len() == 0)
-        .map_err(|e| format!("cannot stat job journal `{path}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    if fresh {
-        writeln!(writer, "{}", journal_header())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write job journal header to `{path}`: {e}"))?;
-    }
     Ok(Journal {
-        writer,
+        writer: jsonl::open(path, &journal_header(), Mode::Append, "job journal")?,
         path: path.to_string(),
         seq: 0,
     })
@@ -1341,88 +1327,37 @@ fn replay_journal(path: &str) -> Result<(BTreeMap<u64, JobEntry>, u64), String> 
     };
     let mut jobs: BTreeMap<u64, JobEntry> = BTreeMap::new();
     let mut max_id = 0u64;
-    scan_wal_lines(&text, |i, value| {
+    jsonl::scan(&text, |i, _, value| {
         if i == 0 {
-            let schema = value.get("wal").and_then(Json::as_str).unwrap_or_default();
-            if schema != JOURNAL_SCHEMA {
-                return Err(format!("unknown journal schema `{schema}`"));
-            }
-            let version = value
-                .get("version")
-                .ok_or_else(|| "journal header missing `version`".to_string())?
-                .as_u64_checked()?;
-            if version > JOURNAL_VERSION {
-                return Err(format!(
-                    "journal version {version} is newer than supported {JOURNAL_VERSION}"
-                ));
-            }
+            jsonl::check_header(value, "wal", JOURNAL_SCHEMA, JOURNAL_VERSION, "journal")?;
             return Ok(());
         }
-        let id = value
-            .get("job")
-            .ok_or_else(|| "journal record missing `job`".to_string())?
-            .as_u64_checked()?;
-        let event = value
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "journal record missing `event`".to_string())?;
+        let id = value.u64_field("job")?;
+        let event = value.str_field("event")?;
         max_id = max_id.max(id);
+        if event == "submitted" {
+            let spec = JobSpec::from_value(value.field("spec")?)?;
+            jobs.insert(id, JobEntry::new(spec, JobState::Queued));
+            return Ok(());
+        }
+        let job = jobs
+            .get_mut(&id)
+            .ok_or_else(|| format!("{event} event for unknown job {id}"))?;
         match event {
-            "submitted" => {
-                let spec_value = value
-                    .get("spec")
-                    .ok_or_else(|| "submitted event missing `spec`".to_string())?;
-                let spec = JobSpec::from_value(spec_value)?;
-                jobs.insert(id, JobEntry::new(spec, JobState::Queued));
-                Ok(())
-            }
-            "running" => match jobs.get_mut(&id) {
-                // The process died mid-run; the job goes back to the queue.
-                Some(job) => {
-                    job.state = JobState::Queued;
-                    Ok(())
-                }
-                None => Err(format!("running event for unknown job {id}")),
-            },
+            // The process died mid-run; the job goes back to the queue.
+            "running" => job.state = JobState::Queued,
             "done" => {
-                let record = value
-                    .get("record")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "done event missing `record`".to_string())?
-                    .to_string();
-                match jobs.get_mut(&id) {
-                    Some(job) => {
-                        job.state = JobState::Done;
-                        job.record = Some(record);
-                        Ok(())
-                    }
-                    None => Err(format!("done event for unknown job {id}")),
-                }
+                job.record = Some(value.str_field("record")?.to_string());
+                job.state = JobState::Done;
             }
             "failed" => {
-                let error = value
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "failed event missing `error`".to_string())?
-                    .to_string();
-                match jobs.get_mut(&id) {
-                    Some(job) => {
-                        job.state = JobState::Failed;
-                        job.error = Some(error);
-                        Ok(())
-                    }
-                    None => Err(format!("failed event for unknown job {id}")),
-                }
+                job.error = Some(value.str_field("error")?.to_string());
+                job.state = JobState::Failed;
             }
-            "cancelled" => match jobs.get_mut(&id) {
-                Some(job) => {
-                    job.state = JobState::Cancelled;
-                    Ok(())
-                }
-                None => Err(format!("cancelled event for unknown job {id}")),
-            },
-            other => Err(format!("unknown journal event `{other}`")),
+            "cancelled" => job.state = JobState::Cancelled,
+            other => return Err(format!("unknown journal event `{other}`").into()),
         }
+        Ok(())
     })
     .map_err(|e| format!("job journal `{path}`: {e}"))?;
     Ok((jobs, max_id + 1))

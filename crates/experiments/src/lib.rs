@@ -47,6 +47,7 @@ pub mod ext_tsp;
 pub mod faults;
 mod instances;
 pub mod jobs;
+pub mod jsonl;
 pub mod ops;
 pub mod progress;
 pub mod reporting;

@@ -16,7 +16,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::checkpoint::{Checkpoint, Json};
+use anneal_core::json::{escape, Json};
+
+use crate::checkpoint::Checkpoint;
 use crate::telemetry::{CellRecord, TempAggregate};
 use crate::trace::{CellTrace, TraceEvent};
 
@@ -559,25 +561,15 @@ fn bench_kernels(text: &str, which: &str) -> Result<Vec<(String, f64)>, String> 
     if schema != "annealbench-bench-v1" {
         return Err(format!("{which} snapshot has unknown schema `{schema}`"));
     }
-    let kernels = v
-        .get("kernels")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{which} snapshot has no kernels array"))?;
-    kernels
-        .iter()
-        .map(|k| {
-            let name = k
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{which} snapshot has a kernel without a name"))?
-                .to_string();
-            let ns = k
-                .get("ns_per_iter")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("kernel `{name}` has no ns_per_iter"))?;
-            Ok((name, ns))
-        })
-        .collect()
+    let kernel = |k: &Json| -> Result<(String, f64), String> {
+        let name = k.str_field("name")?;
+        let ns = k.field("ns_per_iter")?.as_f64();
+        let ns = ns.ok_or_else(|| format!("kernel `{name}` has no ns_per_iter"))?;
+        Ok((name.to_string(), ns))
+    };
+    v.arr_field("kernels")
+        .and_then(|kernels| kernels.iter().map(kernel).collect())
+        .map_err(|e| format!("{which} snapshot: {e}"))
 }
 
 /// Compares two `BENCH_core.json` documents. `threshold_pct` is the slowdown
@@ -665,20 +657,6 @@ pub fn render_compare(cmp: &BenchComparison) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Converts loaded chain traces into Chrome Trace Event JSON (the
 /// `{"traceEvents": [...]}` object format), loadable in `chrome://tracing`
 /// and Perfetto — the `report --chrome-trace OUT.json` exporter.
@@ -702,7 +680,7 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
         events.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc_json(table)
+            escape(table)
         ));
         let mut cells: Vec<&CellTrace> = traces
             .iter()
@@ -727,8 +705,8 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
                 events.push(format!(
                     "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
                      \"args\":{{\"name\":\"{} / {} #{instance}\"}}}}",
-                    esc_json(&key.method),
-                    esc_json(&key.column)
+                    escape(&key.method),
+                    escape(&key.column)
                 ));
                 let mut ts_us = 0f64;
                 for stage in stages {

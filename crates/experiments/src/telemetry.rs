@@ -9,15 +9,16 @@
 //! even if it is interrupted — and a single bad cell is a recorded failure
 //! instead of a lost run.
 //!
-//! The JSON is hand-rolled (this workspace builds with no registry access,
-//! so there is no serde); the format is documented in EXPERIMENTS.md and
-//! exercised by tests below.
+//! The JSON is written with [`anneal_core::json`]'s escaper and float
+//! formatter; the format is documented in EXPERIMENTS.md and exercised by
+//! tests below.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use anneal_core::json::{self, escape};
 use anneal_core::{AdvanceReason, Budget, RunTelemetry};
 
 use crate::faults::FaultPlan;
@@ -287,9 +288,9 @@ impl CellRecord {
         push_str_field(&mut s, "budget", &self.budget);
         push_raw_field(&mut s, "base_seed", &self.base_seed.to_string());
         push_raw_field(&mut s, "instances", &self.instances.to_string());
-        push_raw_field(&mut s, "reduction", &json_f64(self.reduction));
+        push_raw_field(&mut s, "reduction", &json::float(self.reduction));
         push_raw_field(&mut s, "evals", &self.evals.to_string());
-        push_raw_field(&mut s, "wall_ms", &json_f64(self.wall_ms));
+        push_raw_field(&mut s, "wall_ms", &json::float(self.wall_ms));
         push_raw_field(
             &mut s,
             "accepted_downhill",
@@ -327,8 +328,8 @@ impl CellRecord {
                 t.ended_exchange,
                 t.swap_attempts,
                 t.swap_accepts,
-                json_f64(t.temperature),
-                json_f64(t.target_acceptance)
+                json::float(t.temperature),
+                json::float(t.target_acceptance)
             ));
         }
         s.push_str("],");
@@ -344,9 +345,9 @@ impl CellRecord {
                  \"rejected_uphill\":{}}}",
                 r.index,
                 r.seed,
-                json_f64(r.reduction),
+                json::float(r.reduction),
                 r.evals,
-                json_f64(r.wall_ms),
+                json::float(r.wall_ms),
                 r.stop,
                 r.accepted_downhill,
                 r.accepted_uphill,
@@ -364,7 +365,7 @@ impl CellRecord {
                 "{{\"instance\":{},\"seed\":{},\"message\":\"{}\"}}",
                 fail.instance,
                 fail.seed,
-                escape_json(&fail.message)
+                escape(&fail.message)
             ));
         }
         s.push_str("]}");
@@ -407,7 +408,7 @@ impl SupervisorEvent {
             push_str_field(&mut s, "method", &cell.method);
             push_str_field(&mut s, "column", &cell.column);
         }
-        s.push_str(&format!("\"detail\":\"{}\"}}", escape_json(&self.detail)));
+        s.push_str(&format!("\"detail\":\"{}\"}}", escape(&self.detail)));
         s
     }
 }
@@ -421,37 +422,12 @@ impl fmt::Display for SupervisorEvent {
     }
 }
 
-pub(crate) fn push_str_field(s: &mut String, key: &str, value: &str) {
-    s.push_str(&format!("\"{}\":\"{}\",", key, escape_json(value)));
+fn push_str_field(s: &mut String, key: &str, value: &str) {
+    s.push_str(&format!("\"{}\":\"{}\",", key, escape(value)));
 }
 
-pub(crate) fn push_raw_field(s: &mut String, key: &str, value: &str) {
+fn push_raw_field(s: &mut String, key: &str, value: &str) {
     s.push_str(&format!("\"{key}\":{value},"));
-}
-
-/// JSON has no NaN/Infinity; map them to null.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A sink for [`CellRecord`]s: in-memory collection plus an optional
@@ -718,7 +694,7 @@ impl TelemetryLog {
             // a crash tears at most the final record.
             let mut line = crate::checkpoint::wal_line(&record.to_json(), seq);
             line.push('\n');
-            if let Err(e) = w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
+            if let Err(e) = crate::jsonl::append(w, &line) {
                 eprintln!("telemetry: write failed for cell {}: {e}", record.key);
                 let key = record.key.clone();
                 inner.lost.push(key);
@@ -740,9 +716,7 @@ impl TelemetryLog {
         }
         let mut inner = self.lock();
         if let Some(w) = inner.writer.as_mut() {
-            let mut line = event.to_json();
-            line.push('\n');
-            if let Err(e) = w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
+            if let Err(e) = crate::jsonl::append(w, &format!("{}\n", event.to_json())) {
                 eprintln!("telemetry: write failed for supervisor event: {e}");
             }
         }
@@ -866,9 +840,9 @@ impl SuiteSummary {
             s.push_str(&format!(
                 "{{\"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\"attempts\":{},\
                  \"failures\":[",
-                escape_json(&cell.key.table),
-                escape_json(&cell.key.method),
-                escape_json(&cell.key.column),
+                escape(&cell.key.table),
+                escape(&cell.key.method),
+                escape(&cell.key.column),
                 cell.attempts
             ));
             for (j, fail) in cell.failures.iter().enumerate() {
@@ -879,7 +853,7 @@ impl SuiteSummary {
                     "{{\"instance\":{},\"seed\":{},\"message\":\"{}\"}}",
                     fail.instance,
                     fail.seed,
-                    escape_json(&fail.message)
+                    escape(&fail.message)
                 ));
             }
             s.push_str("]}");
@@ -891,9 +865,9 @@ impl SuiteSummary {
             }
             s.push_str(&format!(
                 "{{\"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\"}}",
-                escape_json(&key.table),
-                escape_json(&key.method),
-                escape_json(&key.column)
+                escape(&key.table),
+                escape(&key.method),
+                escape(&key.column)
             ));
         }
         s.push_str("]}");
@@ -994,13 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn nonfinite_values_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(2.5), "2.5");
-    }
-
-    #[test]
     fn disabled_log_records_nothing() {
         let log = TelemetryLog::disabled();
         log.record(record("t", 1.0, false));
@@ -1088,7 +1055,7 @@ mod tests {
         let log = TelemetryLog::with_writer(Box::new(BrokenWriter));
         log.record(record("bad", 1.0, true));
         let manifest = log.summary().manifest_json();
-        let parsed = crate::checkpoint::Json::parse(&manifest).expect("manifest parses");
+        let parsed = json::Json::parse(&manifest).expect("manifest parses");
         assert_eq!(
             parsed.get("schema").unwrap().as_str(),
             Some("anneal-repro-manifest")

@@ -28,10 +28,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use anneal_core::json::{escape, float, Json};
 use anneal_core::{AdvanceReason, ChainTrace, StopReason};
 
-use crate::checkpoint::Json;
 use crate::faults::{ChaosWriter, FaultPlan};
+use crate::jsonl::{self, Mode, Reject};
 use crate::telemetry::CellKey;
 
 /// Schema identifier in a trace file's header line.
@@ -81,13 +82,12 @@ impl TraceSink {
         budget: &str,
         base_seed: u64,
     ) -> Result<CellTraceWriter, String> {
-        let path = self.cell_path(key);
-        let file = std::fs::File::create(&path)
-            .map_err(|e| format!("cannot create trace file `{}`: {e}", path.display()))?;
-        let mut writer = std::io::BufWriter::new(file);
-        writeln!(writer, "{}", header_line(key, strategy, budget, base_seed))
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write trace header to `{}`: {e}", path.display()))?;
+        let writer = jsonl::open(
+            self.cell_path(key),
+            &header_line(key, strategy, budget, base_seed),
+            Mode::Create,
+            "trace file",
+        )?;
         let boxed: Box<dyn Write + Send> = match self.faults {
             Some(plan) => Box::new(ChaosWriter::new(writer, plan)),
             None => Box::new(writer),
@@ -122,42 +122,21 @@ pub fn cell_file_name(key: &CellKey) -> String {
 }
 
 fn header_line(key: &CellKey, strategy: &str, budget: &str, base_seed: u64) -> String {
-    format!(
-        "{{\"trace\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_VERSION},\
-         \"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\
-         \"strategy\":\"{}\",\"budget\":\"{}\",\"base_seed\":{}}}",
-        escape(&key.table),
-        escape(&key.method),
-        escape(&key.column),
-        escape(strategy),
-        escape(budget),
-        base_seed
+    jsonl::header(
+        "trace",
+        TRACE_SCHEMA,
+        TRACE_VERSION,
+        &format!(
+            ",\"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\
+             \"strategy\":\"{}\",\"budget\":\"{}\",\"base_seed\":{}",
+            escape(&key.table),
+            escape(&key.method),
+            escape(&key.column),
+            escape(strategy),
+            escape(budget),
+            base_seed
+        ),
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON has no NaN/Infinity; map them to null (mirrors the WAL serializer).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// One cell's trace file, shared across the runner's instance threads.
@@ -185,9 +164,7 @@ impl CellTraceWriter {
     ) -> Result<(), String> {
         let text = instance_lines(instance, seed, attempt, trace);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .write_all(text.as_bytes())
-            .and_then(|()| inner.flush())
+        jsonl::append(&mut *inner, &text)
             .map_err(|e| format!("trace write for instance {instance} failed: {e}"))
     }
 }
@@ -198,7 +175,7 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
     s.push_str(&format!(
         "{{\"event\":\"run_start\",\"instance\":{instance},\"seed\":{seed},\
          \"attempt\":{attempt},\"initial_cost\":{},\"temperatures\":{}}}\n",
-        num(trace.initial_cost),
+        float(trace.initial_cost),
         trace.temperatures
     ));
     for stage in &trace.stages {
@@ -217,22 +194,22 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
             t.rejected_uphill,
             t.swap_attempts,
             t.swap_accepts,
-            num(t.temperature),
-            num(t.target_acceptance),
+            float(t.temperature),
+            float(t.target_acceptance),
             t.ended_by.as_str(),
-            num(stage.wall.as_secs_f64() * 1e3)
+            float(stage.wall.as_secs_f64() * 1e3)
         ));
     }
     for &(evals, cost) in &trace.samples {
         s.push_str(&format!(
             "{{\"event\":\"sample\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}\n",
-            num(cost)
+            float(cost)
         ));
     }
     for &(evals, cost) in &trace.bests {
         s.push_str(&format!(
             "{{\"event\":\"best\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}\n",
-            num(cost)
+            float(cost)
         ));
     }
     if let Some(stop) = &trace.stop {
@@ -241,8 +218,8 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
              \"final_cost\":{},\"best_cost\":{},\"energy_callbacks\":{}}}\n",
             stop.reason.as_str(),
             stop.evals,
-            num(stop.final_cost),
-            num(stop.best_cost),
+            float(stop.final_cost),
+            float(stop.best_cost),
             trace.energy_events
         ));
     }
@@ -396,38 +373,22 @@ pub fn load(path: &Path) -> Result<CellTrace, String> {
     parse_str(&text).map_err(|e| format!("trace `{}`: {e}", path.display()))
 }
 
-/// [`load`] on in-memory trace text.
+/// [`load`] on in-memory trace text. A bad header is fatal, even as the
+/// only line.
 pub fn parse_str(text: &str) -> Result<CellTrace, String> {
-    let lines: Vec<&str> = text.lines().collect();
     let mut meta = None;
     let mut events = Vec::new();
-    let mut torn = false;
-    let n = lines.len();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let torn = jsonl::scan(text, |i, _, value| {
+        if i == 0 {
+            let header = meta_from_json(value)
+                .map_err(|e| Reject::Fatal(format!("bad trace header: {e}")))?;
+            meta = Some(header);
+        } else {
+            events.push(event_from_json(value)?);
         }
-        let last = i + 1 == n;
-        let parsed: Result<(), String> = (|| {
-            let value = Json::parse(line)?;
-            if i == 0 {
-                meta = Some(meta_from_json(&value)?);
-            } else {
-                events.push(event_from_json(&value)?);
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            // Same WAL discipline as `checkpoint::load_str`: a torn final
-            // line is the signature of a killed run, anything earlier is
-            // real corruption.
-            Err(e) if i == 0 => return Err(format!("bad trace header: {e}")),
-            Err(_) if last => torn = true,
-            Err(e) => return Err(format!("corrupt event at line {}: {e}", i + 1)),
-        }
-    }
-    let meta = meta.ok_or("empty trace file (no header)")?;
+        Ok(())
+    })?;
+    let meta = meta.ok_or("empty or torn trace header")?;
     Ok(CellTrace { meta, events, torn })
 }
 
@@ -454,108 +415,65 @@ pub fn load_dir(dir: &Path) -> Result<Vec<CellTrace>, String> {
 }
 
 fn meta_from_json(v: &Json) -> Result<TraceMeta, String> {
-    let schema = v.get("trace").and_then(Json::as_str).unwrap_or_default();
-    if schema != TRACE_SCHEMA {
-        return Err(format!("unknown trace schema `{schema}`"));
-    }
-    let version = u64_field(v, "version")?;
-    if version > TRACE_VERSION {
-        return Err(format!(
-            "trace version {version} is newer than supported {TRACE_VERSION}"
-        ));
-    }
     Ok(TraceMeta {
-        version,
+        version: jsonl::check_header(v, "trace", TRACE_SCHEMA, TRACE_VERSION, "trace")?,
         key: CellKey::new(
-            str_field(v, "table")?,
-            str_field(v, "method")?,
-            str_field(v, "column")?,
+            v.str_field("table")?,
+            v.str_field("method")?,
+            v.str_field("column")?,
         ),
-        strategy: str_field(v, "strategy")?.to_string(),
-        budget: str_field(v, "budget")?.to_string(),
-        base_seed: u64_field(v, "base_seed")?,
+        strategy: v.str_field("strategy")?.to_string(),
+        budget: v.str_field("budget")?.to_string(),
+        base_seed: v.u64_field("base_seed")?,
     })
 }
 
 fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
-    let instance = u64_field(v, "instance")? as usize;
-    match str_field(v, "event")? {
+    let instance = v.u64_field("instance")? as usize;
+    match v.str_field("event")? {
         "run_start" => Ok(TraceEvent::RunStart {
             instance,
-            seed: u64_field(v, "seed")?,
-            attempt: u64_field(v, "attempt")? as u32,
-            initial_cost: f64_field(v, "initial_cost")?,
-            temperatures: u64_field(v, "temperatures")? as usize,
+            seed: v.u64_field("seed")?,
+            attempt: v.u64_field("attempt")? as u32,
+            initial_cost: v.f64_field("initial_cost")?,
+            temperatures: v.u64_field("temperatures")? as usize,
         }),
         "temp" => Ok(TraceEvent::Temp {
             instance,
-            temp: u64_field(v, "temp")? as usize,
-            evals: u64_field(v, "evals")?,
-            proposals: u64_field(v, "proposals")?,
-            accepted_downhill: u64_field(v, "accepted_downhill")?,
-            accepted_uphill: u64_field(v, "accepted_uphill")?,
-            rejected_uphill: u64_field(v, "rejected_uphill")?,
+            temp: v.u64_field("temp")? as usize,
+            evals: v.u64_field("evals")?,
+            proposals: v.u64_field("proposals")?,
+            accepted_downhill: v.u64_field("accepted_downhill")?,
+            accepted_uphill: v.u64_field("accepted_uphill")?,
+            rejected_uphill: v.u64_field("rejected_uphill")?,
             // Absent in v1 traces (pre replica-exchange).
-            swap_attempts: v.get("swap_attempts").map_or(Ok(0), Json::as_u64_checked)?,
-            swap_accepts: v.get("swap_accepts").map_or(Ok(0), Json::as_u64_checked)?,
+            swap_attempts: v.u64_field_or("swap_attempts", 0)?,
+            swap_accepts: v.u64_field_or("swap_accepts", 0)?,
             // Absent before v3 (pre adaptive temperature control).
-            temperature: optional_f64_field(v, "temperature")?,
-            target_acceptance: optional_f64_field(v, "target_acceptance")?,
-            ended_by: str_field(v, "ended_by")?.parse()?,
-            wall_ms: f64_field(v, "wall_ms")?,
+            temperature: v.f64_field_or_nan("temperature")?,
+            target_acceptance: v.f64_field_or_nan("target_acceptance")?,
+            ended_by: v.str_field("ended_by")?.parse()?,
+            wall_ms: v.f64_field("wall_ms")?,
         }),
         "sample" => Ok(TraceEvent::Sample {
             instance,
-            evals: u64_field(v, "evals")?,
-            cost: f64_field(v, "cost")?,
+            evals: v.u64_field("evals")?,
+            cost: v.f64_field("cost")?,
         }),
         "best" => Ok(TraceEvent::Best {
             instance,
-            evals: u64_field(v, "evals")?,
-            cost: f64_field(v, "cost")?,
+            evals: v.u64_field("evals")?,
+            cost: v.f64_field("cost")?,
         }),
         "stop" => Ok(TraceEvent::Stop {
             instance,
-            reason: str_field(v, "reason")?.parse()?,
-            evals: u64_field(v, "evals")?,
-            final_cost: f64_field(v, "final_cost")?,
-            best_cost: f64_field(v, "best_cost")?,
-            energy_callbacks: u64_field(v, "energy_callbacks")?,
+            reason: v.str_field("reason")?.parse()?,
+            evals: v.u64_field("evals")?,
+            final_cost: v.f64_field("final_cost")?,
+            best_cost: v.f64_field("best_cost")?,
+            energy_callbacks: v.u64_field("energy_callbacks")?,
         }),
         other => Err(format!("unknown event kind `{other}`")),
-    }
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .as_u64_checked()
-}
-
-fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(other) => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-/// [`f64_field`] for fields older trace versions did not write: absent and
-/// `null` both map to NaN.
-fn optional_f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(f64::NAN),
-        Some(other) => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
     }
 }
 

@@ -366,6 +366,25 @@ fn invalid_specs_get_precise_400_bodies_over_http() {
     finish(child);
 }
 
+/// A body of 100,000 `[` fits under the 1 MiB body cap, and a recursive
+/// parser without a nesting limit overflows its stack on it and aborts the
+/// server. It must be a 400, and the server must keep serving.
+#[test]
+fn deeply_nested_body_is_a_400_not_a_crash() {
+    let (mut child, addr) = spawn_server(&[]);
+    let (status, response) = http_post(&addr, "/jobs", &"[".repeat(100_000));
+    assert_eq!(status, 400, "{response}");
+    let body = body_of(&response);
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, _) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200);
+    assert!(
+        child.try_wait().expect("poll server").is_none(),
+        "server exited"
+    );
+    finish(child);
+}
+
 /// The `/jobs` wire schemas are pinned byte-for-byte: job records are
 /// deterministic (fixed seeds, no wall-clock fields), so the full
 /// response bodies — a done job resource with its embedded record, and

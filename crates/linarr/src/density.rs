@@ -15,8 +15,8 @@
 //!   a secondary objective at negligible cost).
 //!
 //! Updating after a perturbation costs O(pins of affected nets × span
-//! lengths); a full rebuild is O(total pins + n). The microbenchmarks in
-//! `anneal-bench` quantify the speedup.
+//! lengths); a full rebuild is O(total pins + n). The `linarr/*` kernels
+//! of the `bench` binary quantify the speedup.
 
 use anneal_netlist::Netlist;
 
