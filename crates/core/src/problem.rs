@@ -14,10 +14,18 @@
 //!
 //! Moves follow an **apply/undo** protocol: [`Problem::apply`] mutates the
 //! state in place (so implementations can keep incremental bookkeeping such
-//! as cut-density histograms inside the state), and a rejected move is rolled
+//! as per-gap cut counts inside the state), and a rejected move is rolled
 //! back with [`Problem::undo`]. For involutive moves — pairwise swaps, 2-opt
 //! segment reversals, partition exchanges — applying the move a second time
 //! *is* the undo, which is what the default implementation does.
+//!
+//! The strategies probe a move through **evaluate/commit/discard**:
+//! [`Problem::evaluate`] returns the cost the state would have after the
+//! move, then exactly one of [`Problem::commit`] (keep it) or
+//! [`Problem::discard`] (drop it) follows. The defaults are apply → cost,
+//! nothing, and undo, so a problem that only implements apply/undo runs
+//! exactly the apply → cost → undo sequence; a problem with a cheap delta
+//! overrides all three and never changes the state for a rejected move.
 //!
 //! [Figure 1]: crate::strategy::Figure1
 //! [Figure 2]: crate::strategy::Figure2
@@ -28,7 +36,8 @@ use rand::Rng;
 ///
 /// Implementations should make [`cost`](Problem::cost) cheap (ideally O(1)
 /// reading a value maintained incrementally by [`apply`](Problem::apply)):
-/// the strategies call it after every perturbation.
+/// with the default [`evaluate`](Problem::evaluate) the strategies call it
+/// after every perturbation.
 ///
 /// # Examples
 ///
@@ -81,7 +90,8 @@ pub trait Problem {
     /// Draws a random perturbation of `state` (Step 2 of Figure 1).
     ///
     /// The move is only *proposed* here; it takes effect when passed to
-    /// [`apply`](Problem::apply).
+    /// [`apply`](Problem::apply), or to [`evaluate`](Problem::evaluate)
+    /// and then [`commit`](Problem::commit).
     fn propose(&self, state: &Self::State, rng: &mut dyn Rng) -> Self::Move;
 
     /// Applies a proposed move to the state in place.
@@ -94,6 +104,36 @@ pub trait Problem {
     /// override this.
     fn undo(&self, state: &mut Self::State, mv: &Self::Move) {
         self.apply(state, mv);
+    }
+
+    /// Tentatively applies `mv` and returns the cost of the moved state.
+    ///
+    /// Every state passed to `evaluate` must get exactly one
+    /// [`commit`](Problem::commit) or [`discard`](Problem::discard) with the
+    /// same move before any other call touches it. Until then the state is
+    /// in between: [`cost`](Problem::cost) may read either side of the move,
+    /// so callers take the returned value instead.
+    ///
+    /// The default applies the move and returns [`cost`](Problem::cost); an
+    /// override may leave the state untouched and defer the change to
+    /// `commit`.
+    fn evaluate(&self, state: &mut Self::State, mv: &Self::Move) -> f64 {
+        self.apply(state, mv);
+        self.cost(state)
+    }
+
+    /// Keeps a move just probed with [`evaluate`](Problem::evaluate): the
+    /// state becomes the moved state. The default does nothing, because the
+    /// default `evaluate` already applied the move.
+    fn commit(&self, state: &mut Self::State, mv: &Self::Move) {
+        let _ = (state, mv);
+    }
+
+    /// Drops a move just probed with [`evaluate`](Problem::evaluate): the
+    /// state returns to what it was before. The default is
+    /// [`undo`](Problem::undo).
+    fn discard(&self, state: &mut Self::State, mv: &Self::Move) {
+        self.undo(state, mv);
     }
 
     /// Returns a cost-reducing move from `state`, or `None` if `state` is

@@ -53,9 +53,8 @@ pub fn estimate_delta_stats<P: Problem>(
             cost = problem.cost(&state);
         }
         let mv = problem.propose(&state, rng);
-        problem.apply(&mut state, &mv);
-        let new_cost = problem.cost(&state);
-        problem.undo(&mut state, &mv);
+        let new_cost = problem.evaluate(&mut state, &mv);
+        problem.discard(&mut state, &mv);
         let delta = new_cost - cost;
         sum += delta;
         sum_sq += delta * delta;

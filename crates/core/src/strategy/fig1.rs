@@ -167,12 +167,12 @@ impl Figure1 {
             // Step 2: random perturbation.
             let mv = problem.propose(&state, rng);
             run.stats.proposals += 1;
-            problem.apply(&mut state, &mv);
-            let new_cost = problem.cost(&state);
+            let new_cost = problem.evaluate(&mut state, &mv);
             run.charge(1);
 
             if new_cost < cost {
                 // Step 3: downhill, always accept.
+                problem.commit(&mut state, &mv);
                 cost = new_cost;
                 run.counter = 0;
                 run.stats.accepted_downhill += 1;
@@ -182,17 +182,18 @@ impl Figure1 {
                 // Step 4: uphill or flat.
                 if run.counter >= self.equilibrium {
                     // Equilibrium reached: drop j, advance or stop.
-                    problem.undo(&mut state, &mv);
+                    problem.discard(&mut state, &mv);
                     if !run.advance_temp(false, obs) {
                         break StopReason::Equilibrium;
                     }
                     run.enter_stage(g, self.controller.as_ref());
                 } else if g.decide_figure1(run.temp, cost, new_cost, rng) {
+                    problem.commit(&mut state, &mv);
                     cost = new_cost;
                     run.counter = 0;
                     run.stats.accepted_uphill += 1;
                 } else {
-                    problem.undo(&mut state, &mv);
+                    problem.discard(&mut state, &mv);
                     run.counter += 1;
                     run.stats.rejected_uphill += 1;
                 }

@@ -131,8 +131,8 @@ impl Figure2 {
                 run.charge(probes);
                 match improving {
                     Some(mv) => {
-                        problem.apply(&mut state, &mv);
-                        cost = problem.cost(&state);
+                        cost = problem.evaluate(&mut state, &mv);
+                        problem.commit(&mut state, &mv);
                         run.charge(1);
                         run.stats.accepted_downhill += 1;
                         if O::ENABLED {
@@ -164,14 +164,14 @@ impl Figure2 {
                 run.counter += 1;
                 let mv = problem.propose(&state, rng);
                 run.stats.proposals += 1;
-                problem.apply(&mut state, &mv);
-                let new_cost = problem.cost(&state);
+                let new_cost = problem.evaluate(&mut state, &mv);
                 run.charge(1);
                 // From a local optimum every in-neighborhood move satisfies
                 // h(j) >= h(i); a strictly downhill proposal (possible when
                 // `propose` samples outside the enumerated neighborhood) is
                 // accepted unconditionally.
                 if new_cost < cost || g.decide_figure2(run.temp, cost, new_cost, rng) {
+                    problem.commit(&mut state, &mv);
                     if new_cost < cost {
                         run.stats.accepted_downhill += 1;
                     } else {
@@ -183,7 +183,7 @@ impl Figure2 {
                     }
                     continue 'run; // back to Step 2
                 }
-                problem.undo(&mut state, &mv);
+                problem.discard(&mut state, &mv);
                 run.stats.rejected_uphill += 1;
                 if O::ENABLED {
                     obs.on_energy(run.total_evals, cost);

@@ -104,9 +104,8 @@ impl Rejectionless {
             weights.clear();
             let mut total = 0.0;
             for mv in &moves {
-                problem.apply(&mut state, mv);
-                let neighbor_cost = problem.cost(&state);
-                problem.undo(&mut state, mv);
+                let neighbor_cost = problem.evaluate(&mut state, mv);
+                problem.discard(&mut state, mv);
                 let p = if neighbor_cost < cost {
                     1.0
                 } else {
@@ -137,8 +136,8 @@ impl Rejectionless {
                 }
                 r -= w;
             }
-            problem.apply(&mut state, &moves[chosen]);
-            let new_cost = problem.cost(&state);
+            let new_cost = problem.evaluate(&mut state, &moves[chosen]);
+            problem.commit(&mut state, &moves[chosen]);
             if new_cost < cost {
                 run.stats.accepted_downhill += 1;
                 g.note_downhill();

@@ -218,13 +218,13 @@ impl ReplicaExchange {
                     }
                     let mv = problem.propose(&replica.state, &mut replica.rng);
                     replica.stats.proposals += 1;
-                    problem.apply(&mut replica.state, &mv);
-                    let new_cost = problem.cost(&replica.state);
+                    let new_cost = problem.evaluate(&mut replica.state, &mv);
                     meter.charge(1);
                     replica.stats.evals += 1;
                     total_evals += 1;
 
                     if new_cost < replica.cost {
+                        problem.commit(&mut replica.state, &mv);
                         replica.cost = new_cost;
                         replica.stats.accepted_downhill += 1;
                     } else if g.decide_figure2(
@@ -233,10 +233,11 @@ impl ReplicaExchange {
                         new_cost,
                         &mut replica.rng,
                     ) {
+                        problem.commit(&mut replica.state, &mv);
                         replica.cost = new_cost;
                         replica.stats.accepted_uphill += 1;
                     } else {
-                        problem.undo(&mut replica.state, &mv);
+                        problem.discard(&mut replica.state, &mv);
                         replica.stats.rejected_uphill += 1;
                     }
                     if replica.cost < best_cost {

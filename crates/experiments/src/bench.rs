@@ -6,9 +6,9 @@
 //! criterion substitute's [`criterion::measure`] API and renders the results
 //! with [`render_report`]. The kernel set covers the hot paths the paper's
 //! equal-budget comparisons spend their time in: the linarr swap/relocate
-//! delta + `CutProfile` update, the NOLA multi-pin cost, the TSP 2-opt
-//! delta, the partition gain update, the Figure-1/Figure-2 decision path,
-//! and full chains at a fixed seed and budget.
+//! evaluation (difference-array cut delta), the NOLA multi-pin cost, the
+//! TSP 2-opt delta, the partition gain update, the Figure-1/Figure-2
+//! decision path, and full chains at a fixed seed and budget.
 //!
 //! Methodology, schema, and cross-commit comparison workflow are documented
 //! in `BENCHMARKS.md` at the repository root.
@@ -72,13 +72,12 @@ fn nola(index: u64) -> LinearArrangementProblem {
     LinearArrangementProblem::new(random_multi_pin(15, 150, 2, 10, &mut rng))
 }
 
-/// One propose/apply/cost/undo round trip — the Figure-1 inner loop minus
-/// the acceptance decision.
+/// One propose/evaluate/discard round trip — the Figure-1 inner loop on a
+/// rejected move, minus the acceptance decision.
 fn cycle<P: Problem>(p: &P, state: &mut P::State, rng: &mut dyn Rng) -> f64 {
     let mv = p.propose(state, rng);
-    p.apply(state, &mv);
-    let cost = p.cost(state);
-    p.undo(state, &mv);
+    let cost = p.evaluate(state, &mv);
+    p.discard(state, &mv);
     cost
 }
 
@@ -137,7 +136,7 @@ fn chain_kernel(
 pub fn kernels() -> Vec<Kernel> {
     let mut list = Vec::new();
 
-    // Move kernels: perturbation delta + incremental bookkeeping update.
+    // Move kernels: propose, evaluate, discard.
     list.push(move_cycle_kernel("linarr/gola_swap_cycle", gola(0), 11));
     list.push(move_cycle_kernel(
         "linarr/gola_relocate_cycle",

@@ -1,4 +1,4 @@
-//! Incremental cut-density evaluation.
+//! Cut-density evaluation by difference arrays.
 //!
 //! For an arrangement of `n` elements there are `n-1` *gaps* between adjacent
 //! positions. A net *crosses* gap `g` when it has pins on both sides, i.e.
@@ -6,23 +6,29 @@
 //! of the arrangement is the maximum crossing count over all gaps (§4.1) —
 //! the quantity NOLA/GOLA minimize.
 //!
-//! [`CutProfile`] maintains, incrementally:
+//! [`CutProfile`] keeps, per net, its current position span, per gap, its
+//! crossing count, and the density and total span length (the classic
+//! total-wirelength objective, kept as a secondary objective at negligible
+//! cost).
 //!
-//! * per net, its current position span,
-//! * per gap, its crossing count,
-//! * a histogram of crossing counts with the running maximum (the density),
-//! * the total span length (the classic total-wirelength objective, kept as
-//!   a secondary objective at negligible cost).
-//!
-//! Updating after a perturbation costs O(pins of affected nets × span
-//! lengths); a full rebuild is O(total pins + n). The `linarr/*` kernels
-//! of the `bench` binary quantify the speedup.
+//! A move is evaluated without touching the profile. The caller lists the
+//! nets whose span the move changes, each with its new span, in a
+//! [`Delta`]. Each changed net adds four entries to a difference array over
+//! the gaps: −1 at its old `lo`, +1 at its old `hi`, +1 at its new `lo`, −1
+//! at its new `hi`. One linear scan then takes the running sum of the
+//! difference array and the maximum of `cut[g] + sum` — the density the
+//! moved arrangement would have — and zeroes the array behind it. The total
+//! span comes from the same per-net span deltas. Committing the move repeats
+//! the accumulation and folds the sums into the gap counts in the same scan.
+//! Both cost O(changed nets + n); a full rebuild is O(total pins + n). The
+//! `linarr/*` kernels of the `bench` binary quantify the speedup.
 
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
 
-/// Incrementally maintained cut structure of an arrangement.
+/// Cut structure of an arrangement: net spans, gap crossing counts, density
+/// and total span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutProfile {
     /// Per net: current position span `(lo, hi)`, `lo < hi` (nets have ≥ 2
@@ -30,12 +36,59 @@ pub struct CutProfile {
     spans: Vec<(u32, u32)>,
     /// Per gap `g` in `0..n-1`: number of nets crossing it.
     cut: Vec<u32>,
-    /// `hist[c]` = number of gaps with crossing count `c` (length `m + 1`).
-    hist: Vec<u32>,
     /// Current density: `max_g cut[g]`.
     max_cut: u32,
     /// Sum over nets of `hi - lo` (total wirelength).
     total_span: u64,
+}
+
+/// The span changes of one move, accumulated for evaluation.
+///
+/// Holds no information about the arrangement itself, so it is excluded
+/// from state equality.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Delta {
+    /// `(net, new span)` for every net whose span the move changes.
+    changed: Vec<(u32, (u32, u32))>,
+    /// Difference array over positions `0..n` of the changes recorded so
+    /// far; all zero once a scan has consumed it.
+    diff: Vec<i32>,
+    /// Change in total span of the changes recorded so far.
+    span_change: i64,
+}
+
+impl Delta {
+    /// An empty delta for arrangements of `n` elements.
+    pub(crate) fn new(n: usize) -> Self {
+        Delta {
+            changed: Vec::new(),
+            diff: vec![0; n],
+            span_change: 0,
+        }
+    }
+
+    /// Forgets the recorded changes (the difference array is already
+    /// zero after a scan).
+    pub(crate) fn clear(&mut self) {
+        self.changed.clear();
+        self.span_change = 0;
+    }
+
+    /// Records that `net`'s span moves from `old` to `new`.
+    pub(crate) fn change(&mut self, net: u32, old: (u32, u32), new: (u32, u32)) {
+        self.span_change += mark(&mut self.diff, old, new);
+        self.changed.push((net, new));
+    }
+}
+
+/// Adds a span change from `old` to `new` to the difference array `diff`
+/// and returns the change in span length.
+fn mark(diff: &mut [i32], (old_lo, old_hi): (u32, u32), (lo, hi): (u32, u32)) -> i64 {
+    diff[old_lo as usize] -= 1;
+    diff[old_hi as usize] += 1;
+    diff[lo as usize] += 1;
+    diff[hi as usize] -= 1;
+    i64::from(hi - lo) - i64::from(old_hi - old_lo)
 }
 
 impl CutProfile {
@@ -52,21 +105,29 @@ impl CutProfile {
             "arrangement size must match the netlist"
         );
         let n = arrangement.len();
-        let gaps = n.saturating_sub(1);
-        let mut profile = CutProfile {
-            spans: Vec::with_capacity(netlist.n_nets()),
-            cut: vec![0; gaps],
-            hist: vec![0; netlist.n_nets() + 1],
-            max_cut: 0,
-            total_span: 0,
-        };
-        profile.hist[0] = gaps as u32;
-        for net in 0..netlist.n_nets() {
-            let span = Self::span_of(netlist, arrangement, net);
-            profile.spans.push(span);
-            profile.add_span(span);
+        let spans: Vec<(u32, u32)> = (0..netlist.n_nets())
+            .map(|net| Self::span_of(netlist, arrangement, net))
+            .collect();
+        let mut diff = vec![0i32; n];
+        let mut total_span = 0;
+        for &(lo, hi) in &spans {
+            diff[lo as usize] += 1;
+            diff[hi as usize] -= 1;
+            total_span += u64::from(hi - lo);
         }
-        profile
+        let mut cut = Vec::with_capacity(n.saturating_sub(1));
+        let mut acc = 0;
+        for &d in &diff[..n.saturating_sub(1)] {
+            acc += d;
+            cut.push(acc as u32);
+        }
+        let max_cut = cut.iter().copied().max().unwrap_or(0);
+        CutProfile {
+            spans,
+            cut,
+            max_cut,
+            total_span,
+        }
     }
 
     /// The density (maximum crossing count over all gaps).
@@ -93,113 +154,70 @@ impl CutProfile {
         self.spans[net]
     }
 
-    /// Recomputes the spans of `nets` after `arrangement` changed, updating
-    /// cuts, histogram, maximum and total span.
-    ///
-    /// `nets` must include every net whose span may have changed (i.e. all
-    /// nets incident to any moved element) **exactly once** — duplicates
-    /// would remove the same span twice and corrupt the gap counts.
-    pub fn update_nets(
-        &mut self,
+    /// The span of `net` when element `e` sits at `pos(e)`.
+    pub(crate) fn span_with(
         netlist: &Netlist,
-        arrangement: &Arrangement,
-        nets: impl IntoIterator<Item = u32> + Clone,
-    ) {
-        for net in nets.clone() {
-            let span = self.spans[net as usize];
-            self.remove_span(span);
-        }
-        for net in nets {
-            let span = Self::span_of(netlist, arrangement, net as usize);
-            self.spans[net as usize] = span;
-            self.add_span(span);
-        }
-    }
-
-    /// Recomputes the span of a single `net` after `arrangement` changed,
-    /// touching only the gaps in the symmetric difference of the old and new
-    /// span — the hot path of swap/relocate perturbations.
-    ///
-    /// All bookkeeping is integer arithmetic, so the resulting profile is
-    /// identical to a full remove/re-add of the net's span (the
-    /// `refresh_matches_update_nets` test pins this down).
-    pub fn refresh_net(&mut self, netlist: &Netlist, arrangement: &Arrangement, net: usize) {
-        let (old_lo, old_hi) = self.spans[net];
-        let new = Self::span_of(netlist, arrangement, net);
-        let (new_lo, new_hi) = new;
-        if (old_lo, old_hi) == new {
-            return;
-        }
-        self.spans[net] = new;
-        self.total_span += (new_hi - new_lo) as u64;
-        self.total_span -= (old_hi - old_lo) as u64;
-        if new_hi <= old_lo || old_hi <= new_lo {
-            // Disjoint gap ranges: plain remove + add.
-            self.uncover(old_lo, old_hi);
-            self.cover(new_lo, new_hi);
-        } else {
-            // Overlapping: gaps covered by both spans stay untouched.
-            if old_lo < new_lo {
-                self.uncover(old_lo, new_lo);
-            } else {
-                self.cover(new_lo, old_lo);
-            }
-            if new_hi < old_hi {
-                self.uncover(new_hi, old_hi);
-            } else {
-                self.cover(old_hi, new_hi);
-            }
-        }
-    }
-
-    fn span_of(netlist: &Netlist, arrangement: &Arrangement, net: usize) -> (u32, u32) {
+        net: usize,
+        mut pos: impl FnMut(u32) -> u32,
+    ) -> (u32, u32) {
         let mut lo = u32::MAX;
         let mut hi = 0;
         for &pin in netlist.pins(net) {
-            let p = arrangement.position_of(pin);
+            let p = pos(pin);
             lo = lo.min(p);
             hi = hi.max(p);
         }
         (lo, hi)
     }
 
-    fn add_span(&mut self, (lo, hi): (u32, u32)) {
-        self.total_span += (hi - lo) as u64;
-        self.cover(lo, hi);
+    fn span_of(netlist: &Netlist, arrangement: &Arrangement, net: usize) -> (u32, u32) {
+        Self::span_with(netlist, net, |pin| arrangement.position_of(pin))
     }
 
-    fn remove_span(&mut self, (lo, hi): (u32, u32)) {
-        self.total_span -= (hi - lo) as u64;
-        self.uncover(lo, hi);
+    /// The `(density, total span)` the arrangement would have with the
+    /// changes recorded in `delta`. Leaves the profile untouched and the
+    /// difference array zeroed; the changes stay listed for
+    /// [`commit`](Self::commit).
+    pub(crate) fn evaluate(&self, delta: &mut Delta) -> (u32, u64) {
+        let mut acc = 0i32;
+        let mut max = 0i32;
+        for (d, &c) in delta.diff.iter_mut().zip(&self.cut) {
+            acc += *d;
+            *d = 0;
+            max = max.max(c as i32 + acc);
+        }
+        if let Some(last) = delta.diff.last_mut() {
+            *last = 0;
+        }
+        (
+            max as u32,
+            (self.total_span as i64 + delta.span_change) as u64,
+        )
     }
 
-    /// Increments the crossing count of gaps `lo..hi`, maintaining the
-    /// histogram and running maximum.
-    fn cover(&mut self, lo: u32, hi: u32) {
-        for g in lo..hi {
-            let c = self.cut[g as usize];
-            self.hist[c as usize] -= 1;
-            self.hist[c as usize + 1] += 1;
-            self.cut[g as usize] = c + 1;
-            if c + 1 > self.max_cut {
-                self.max_cut = c + 1;
-            }
+    /// Replaces the spans listed in `delta` by an
+    /// [`evaluate`](Self::evaluate) call, updating gap counts, density and
+    /// total span, and empties `delta`.
+    pub(crate) fn commit(&mut self, delta: &mut Delta) {
+        let mut span_change = 0;
+        for &(net, span) in &delta.changed {
+            let old = std::mem::replace(&mut self.spans[net as usize], span);
+            span_change += mark(&mut delta.diff, old, span);
         }
-    }
-
-    /// Decrements the crossing count of gaps `lo..hi`, maintaining the
-    /// histogram and running maximum.
-    fn uncover(&mut self, lo: u32, hi: u32) {
-        for g in lo..hi {
-            let c = self.cut[g as usize];
-            debug_assert!(c > 0, "removing a span from an empty gap");
-            self.hist[c as usize] -= 1;
-            self.hist[c as usize - 1] += 1;
-            self.cut[g as usize] = c - 1;
+        self.total_span = (self.total_span as i64 + span_change) as u64;
+        delta.changed.clear();
+        let mut acc = 0i32;
+        let mut max = 0;
+        for (d, c) in delta.diff.iter_mut().zip(&mut self.cut) {
+            acc += *d;
+            *d = 0;
+            *c = (*c as i32 + acc) as u32;
+            max = max.max(*c);
         }
-        while self.max_cut > 0 && self.hist[self.max_cut as usize] == 0 {
-            self.max_cut -= 1;
+        if let Some(last) = delta.diff.last_mut() {
+            *last = 0;
         }
+        self.max_cut = max;
     }
 
     /// Verifies the profile against a from-scratch rebuild (test support).
@@ -211,8 +229,6 @@ impl CutProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anneal_netlist::generator::random_two_pin;
-    use rand::{rngs::StdRng, RngExt, SeedableRng};
 
     fn path_netlist() -> Netlist {
         // 0-1, 1-2, 2-3 on 4 elements.
@@ -261,71 +277,24 @@ mod tests {
     }
 
     #[test]
-    fn update_after_swap_matches_rebuild() {
+    fn evaluate_then_commit_matches_rebuild() {
+        // Swap positions 1 and 2 of the path by hand: every net changes.
         let nl = path_netlist();
-        let mut arr = Arrangement::identity(4);
-        let mut p = CutProfile::build(&nl, &arr);
-        // Swap positions 1 and 2 (elements 1 and 2); affected nets: all
-        // incident to elements 1 or 2 → nets 0, 1, 2.
-        arr.swap_positions(1, 2);
-        p.update_nets(&nl, &arr, [0u32, 1, 2]);
-        assert!(p.verify(&nl, &arr));
-    }
-
-    #[test]
-    fn incremental_random_walk_matches_rebuild() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let nl = random_two_pin(15, 150, &mut rng);
-        let mut arr = Arrangement::random(15, &mut rng);
-        let mut p = CutProfile::build(&nl, &arr);
-        for _ in 0..500 {
-            let i = rng.random_range(0..15);
-            let j = rng.random_range(0..15);
-            let (a, b) = (arr.element_at(i), arr.element_at(j));
-            arr.swap_positions(i, j);
-            let mut nets: Vec<u32> = nl
-                .nets_of(a as usize)
-                .iter()
-                .chain(nl.nets_of(b as usize))
-                .copied()
-                .collect();
-            nets.sort_unstable();
-            nets.dedup();
-            p.update_nets(&nl, &arr, nets.iter().copied());
-            assert!(p.verify(&nl, &arr));
+        let mut p = CutProfile::build(&nl, &Arrangement::identity(4));
+        let before = p.clone();
+        let moved = Arrangement::from_order(vec![0, 2, 1, 3]);
+        let mut delta = Delta::new(4);
+        for net in 0..3 {
+            let span = CutProfile::span_of(&nl, &moved, net);
+            delta.change(net as u32, p.span(net), span);
         }
-    }
-
-    #[test]
-    fn refresh_matches_update_nets() {
-        // The symmetric-difference update must leave the profile in exactly
-        // the state a full remove/re-add would — same spans, cuts,
-        // histogram, max and total span (all integers, so bitwise).
-        let mut rng = StdRng::seed_from_u64(1985);
-        let nl = random_two_pin(15, 150, &mut rng);
-        let mut arr = Arrangement::random(15, &mut rng);
-        let mut fast = CutProfile::build(&nl, &arr);
-        let mut slow = fast.clone();
-        for _ in 0..500 {
-            let i = rng.random_range(0..15);
-            let j = rng.random_range(0..15);
-            let (a, b) = (arr.element_at(i), arr.element_at(j));
-            arr.swap_positions(i, j);
-            let mut nets: Vec<u32> = nl
-                .nets_of(a as usize)
-                .iter()
-                .chain(nl.nets_of(b as usize))
-                .copied()
-                .collect();
-            nets.sort_unstable();
-            nets.dedup();
-            for &net in &nets {
-                fast.refresh_net(&nl, &arr, net as usize);
-            }
-            slow.update_nets(&nl, &arr, nets.iter().copied());
-            assert_eq!(fast, slow);
-            assert!(fast.verify(&nl, &arr));
-        }
+        assert_eq!(p.evaluate(&mut delta), (3, 5));
+        assert_eq!(p, before, "evaluate must not touch the profile");
+        assert!(delta.diff.iter().all(|&d| d == 0));
+        p.commit(&mut delta);
+        assert!(p.verify(&nl, &moved));
+        assert!(delta.changed.is_empty());
+        assert!(delta.diff.iter().all(|&d| d == 0));
     }
 
     #[test]

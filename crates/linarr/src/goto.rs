@@ -57,13 +57,16 @@ pub fn goto_arrangement(netlist: &Netlist) -> Arrangement {
 
     // Greedy extension: minimize the crossing count of the next boundary.
     while order.len() < n {
+        let crossing_now = (0..m)
+            .filter(|&net| crosses(netlist, net, placed_pins[net]))
+            .count() as u32;
         let mut best: Option<(u32, usize)> = None;
         #[allow(clippy::needless_range_loop)] // index drives two parallel arrays
         for cand in 0..n {
             if placed[cand] {
                 continue;
             }
-            let crossing = crossing_after(netlist, cand, &placed_pins);
+            let crossing = crossing_after(netlist, cand, &placed_pins, crossing_now);
             match best {
                 Some((c, e)) if (c, e) <= (crossing, cand) => {}
                 _ => best = Some((crossing, cand)),
@@ -90,16 +93,20 @@ fn place(
     }
 }
 
-/// Number of nets that would cross the boundary after placing `cand`.
-fn crossing_after(netlist: &Netlist, cand: usize, placed_pins: &[u32]) -> u32 {
-    let mut crossing = 0;
-    for (net, &p) in placed_pins.iter().enumerate() {
-        let size = netlist.pins(net).len() as u32;
-        let incident = netlist.pins(net).binary_search(&(cand as u32)).is_ok() as u32;
-        let p_after = p + incident;
-        if p_after > 0 && p_after < size {
-            crossing += 1;
-        }
+/// Whether `net`, with `placed` of its pins on the placed side, crosses
+/// the boundary.
+fn crosses(netlist: &Netlist, net: usize, placed: u32) -> bool {
+    placed > 0 && (placed as usize) < netlist.pins(net).len()
+}
+
+/// Number of nets that would cross the boundary after placing `cand`, given
+/// the `crossing_now`: only the nets of `cand` can change.
+fn crossing_after(netlist: &Netlist, cand: usize, placed_pins: &[u32], crossing_now: u32) -> u32 {
+    let mut crossing = crossing_now;
+    for &net in netlist.nets_of(cand) {
+        let (net, p) = (net as usize, placed_pins[net as usize]);
+        crossing += u32::from(crosses(netlist, net, p + 1));
+        crossing -= u32::from(crosses(netlist, net, p));
     }
     crossing
 }

@@ -10,11 +10,12 @@
 //! * **GOLA** — the special case where every net connects exactly two
 //!   elements (§4.2).
 //!
-//! The crate provides the permutation state with **incremental** cut-density
-//! evaluation ([`ArrangedState`]), the [`anneal_core::Problem`]
-//! implementation with the paper's pairwise-interchange and \[COHO83a\]
-//! single-exchange neighborhoods ([`LinearArrangementProblem`]), and the
-//! constructive baseline of \[GOTO77\] ([`goto_arrangement`]).
+//! The crate provides the permutation state whose cut-density evaluation
+//! prices a move before making it ([`ArrangedState`]), the
+//! [`anneal_core::Problem`] implementation with the paper's
+//! pairwise-interchange and \[COHO83a\] single-exchange neighborhoods
+//! ([`LinearArrangementProblem`]), and the constructive baseline of
+//! \[GOTO77\] ([`goto_arrangement`]).
 //!
 //! # Examples
 //!

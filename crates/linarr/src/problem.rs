@@ -4,6 +4,7 @@ use anneal_core::{Problem, Rng, RngExt};
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
+use crate::density::Delta;
 use crate::state::ArrangedState;
 
 /// What the arrangement minimizes.
@@ -124,9 +125,14 @@ impl LinearArrangementProblem {
     }
 
     fn objective_value(&self, state: &ArrangedState) -> f64 {
+        self.pick((state.density(), state.total_span()))
+    }
+
+    /// The configured objective of a `(density, total span)` pair.
+    fn pick(&self, (density, total_span): (u32, u64)) -> f64 {
         match self.objective {
-            Objective::Density => state.density() as f64,
-            Objective::TotalSpan => state.total_span() as f64,
+            Objective::Density => density as f64,
+            Objective::TotalSpan => total_span as f64,
         }
     }
 }
@@ -159,17 +165,28 @@ impl Problem for LinearArrangementProblem {
     }
 
     fn apply(&self, state: &mut ArrangedState, mv: &ArrMove) {
-        match *mv {
-            ArrMove::Swap(p, q) => state.swap(&self.netlist, p, q),
-            ArrMove::Relocate { from, to } => state.relocate(&self.netlist, from, to),
-        }
+        state.evaluate(&self.netlist, *mv);
+        state.commit(*mv);
     }
 
     fn undo(&self, state: &mut ArrangedState, mv: &ArrMove) {
-        match *mv {
-            ArrMove::Swap(p, q) => state.swap(&self.netlist, p, q),
-            ArrMove::Relocate { from, to } => state.relocate(&self.netlist, to, from),
-        }
+        let back = match *mv {
+            ArrMove::Swap(p, q) => ArrMove::Swap(p, q),
+            ArrMove::Relocate { from, to } => ArrMove::Relocate { from: to, to: from },
+        };
+        self.apply(state, &back);
+    }
+
+    fn evaluate(&self, state: &mut ArrangedState, mv: &ArrMove) -> f64 {
+        self.pick(state.evaluate(&self.netlist, *mv))
+    }
+
+    fn commit(&self, state: &mut ArrangedState, mv: &ArrMove) {
+        state.commit(*mv);
+    }
+
+    fn discard(&self, state: &mut ArrangedState, _mv: &ArrMove) {
+        state.discard();
     }
 
     fn all_moves(&self, state: &ArrangedState) -> Vec<ArrMove> {
@@ -204,43 +221,27 @@ impl Problem for LinearArrangementProblem {
     }
 
     fn improving_move(&self, state: &ArrangedState, probes: &mut u64) -> Option<ArrMove> {
-        // First-improvement scan of the full neighborhood, probing each
-        // candidate by apply/undo on a scratch clone.
+        // First-improvement scan of the full neighborhood in enumeration
+        // order, evaluating each candidate without changing the state.
         let n = state.arrangement().len();
         let here = self.objective_value(state);
-        let mut scratch = state.clone();
+        let mut delta = Delta::new(n);
+        let mut improves = |mv| {
+            *probes += 1;
+            self.pick(state.probe(&self.netlist, mv, &mut delta)) < here
+        };
         match self.neighborhood {
-            Neighborhood::PairwiseInterchange => {
-                for p in 0..n {
-                    for q in p + 1..n {
-                        *probes += 1;
-                        scratch.swap(&self.netlist, p, q);
-                        let cost = self.objective_value(&scratch);
-                        scratch.swap(&self.netlist, p, q);
-                        if cost < here {
-                            return Some(ArrMove::Swap(p, q));
-                        }
-                    }
-                }
-            }
-            Neighborhood::SingleExchange => {
-                for from in 0..n {
-                    for to in 0..n {
-                        if from == to {
-                            continue;
-                        }
-                        *probes += 1;
-                        scratch.relocate(&self.netlist, from, to);
-                        let cost = self.objective_value(&scratch);
-                        scratch.relocate(&self.netlist, to, from);
-                        if cost < here {
-                            return Some(ArrMove::Relocate { from, to });
-                        }
-                    }
-                }
-            }
+            Neighborhood::PairwiseInterchange => (0..n)
+                .flat_map(|p| (p + 1..n).map(move |q| ArrMove::Swap(p, q)))
+                .find(|&mv| improves(mv)),
+            Neighborhood::SingleExchange => (0..n)
+                .flat_map(|from| {
+                    (0..n)
+                        .filter(move |&to| to != from)
+                        .map(move |to| ArrMove::Relocate { from, to })
+                })
+                .find(|&mv| improves(mv)),
         }
-        None
     }
 }
 

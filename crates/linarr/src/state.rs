@@ -1,26 +1,30 @@
-//! The mutable search state: an arrangement plus its incrementally
-//! maintained [`CutProfile`].
+//! The mutable search state: an arrangement plus its [`CutProfile`].
 
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
-use crate::density::CutProfile;
+use crate::density::{CutProfile, Delta};
+use crate::problem::ArrMove;
 
 /// An arrangement bundled with its cut profile, so that both objectives
-/// (density and total span) read in O(1) and perturbations update
-/// incrementally.
+/// (density and total span) read in O(1) and a move is evaluated before the
+/// state changes.
+///
+/// Moves go through [`evaluate`](Self::evaluate), which leaves the
+/// arrangement and profile untouched, then exactly one of
+/// [`commit`](Self::commit) or [`discard`](Self::discard).
 ///
 /// `ArrangedState` deliberately does not borrow the netlist (the
-/// [`Problem`](anneal_core::Problem) owner holds it); every mutating method
-/// takes it as an argument, and it must be the netlist the state was built
-/// with.
+/// [`Problem`](anneal_core::Problem) owner holds it); every method that
+/// reads nets takes it as an argument, and it must be the netlist the state
+/// was built with.
 #[derive(Debug, Clone)]
 pub struct ArrangedState {
     arrangement: Arrangement,
     profile: CutProfile,
-    /// Reusable buffer for the affected-net set of a relocation; excluded
-    /// from equality so scratch contents never distinguish states.
-    scratch: Vec<u32>,
+    /// The span changes of the last evaluated move; excluded from equality
+    /// so scratch contents never distinguish states.
+    delta: Delta,
 }
 
 impl PartialEq for ArrangedState {
@@ -39,10 +43,11 @@ impl ArrangedState {
     /// Panics if sizes disagree.
     pub fn new(netlist: &Netlist, arrangement: Arrangement) -> Self {
         let profile = CutProfile::build(netlist, &arrangement);
+        let delta = Delta::new(arrangement.len());
         ArrangedState {
             arrangement,
             profile,
-            scratch: Vec::new(),
+            delta,
         }
     }
 
@@ -66,72 +71,129 @@ impl ArrangedState {
         &self.profile
     }
 
-    /// Swaps the elements at positions `p` and `q`, updating the profile.
-    pub fn swap(&mut self, netlist: &Netlist, p: usize, q: usize) {
-        if p == q {
-            return;
+    /// Returns the `(density, total span)` the state would have after `mv`,
+    /// without changing the arrangement or profile. Follow it with
+    /// [`commit`](Self::commit) or [`discard`](Self::discard).
+    pub fn evaluate(&mut self, netlist: &Netlist, mv: ArrMove) -> (u32, u64) {
+        let mut delta = std::mem::take(&mut self.delta);
+        let out = self.probe(netlist, mv, &mut delta);
+        self.delta = delta;
+        out
+    }
+
+    /// Applies the move last passed to [`evaluate`](Self::evaluate).
+    pub fn commit(&mut self, mv: ArrMove) {
+        match mv {
+            ArrMove::Swap(p, q) => self.arrangement.swap_positions(p, q),
+            ArrMove::Relocate { from, to } => self.arrangement.relocate(from, to),
         }
-        let a = self.arrangement.element_at(p);
-        let b = self.arrangement.element_at(q);
-        self.arrangement.swap_positions(p, q);
-        // Lockstep walk of the two sorted incident-net lists. A net
-        // incident to both endpoints keeps its pin-position set (only the
-        // element labels trade places), so its span is unchanged and it is
-        // skipped outright; the rest refresh without any allocation.
-        let na = netlist.nets_of(a as usize);
-        let nb = netlist.nets_of(b as usize);
-        let (mut i, mut j) = (0, 0);
-        while i < na.len() && j < nb.len() {
-            let (x, y) = (na[i], nb[j]);
-            match x.cmp(&y) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    i += 1;
-                    self.profile
-                        .refresh_net(netlist, &self.arrangement, x as usize);
-                }
-                std::cmp::Ordering::Greater => {
-                    j += 1;
-                    self.profile
-                        .refresh_net(netlist, &self.arrangement, y as usize);
+        self.profile.commit(&mut self.delta);
+    }
+
+    /// Drops the move last passed to [`evaluate`](Self::evaluate).
+    pub fn discard(&mut self) {
+        self.delta.clear();
+    }
+
+    /// [`evaluate`](Self::evaluate) with caller-owned scratch: lists the
+    /// nets whose span `mv` changes in `delta` and returns the
+    /// `(density, total span)` they give.
+    pub(crate) fn probe(&self, netlist: &Netlist, mv: ArrMove, delta: &mut Delta) -> (u32, u64) {
+        delta.clear();
+        match mv {
+            ArrMove::Swap(p, q) if p != q => self.swap_spans(netlist, p, q, delta),
+            ArrMove::Relocate { from, to } if from != to => {
+                self.relocate_spans(netlist, from, to, delta)
+            }
+            _ => {}
+        }
+        self.profile.evaluate(delta)
+    }
+
+    /// Lists the new spans of the nets a swap of positions `p` and `q`
+    /// changes.
+    fn swap_spans(&self, netlist: &Netlist, p: usize, q: usize, delta: &mut Delta) {
+        let arr = &self.arrangement;
+        let a = arr.element_at(p);
+        let b = arr.element_at(q);
+        let (p, q) = (p as u32, q as u32);
+        // A net incident to both elements keeps its pin-position set (only
+        // the labels trade places), so its span comes out unchanged from
+        // either side and is never recorded.
+        let swapped = |pin: u32| {
+            if pin == a {
+                q
+            } else if pin == b {
+                p
+            } else {
+                arr.position_of(pin)
+            }
+        };
+        for (e, from, to) in [(a, p, q), (b, q, p)] {
+            for &net in netlist.nets_of(e as usize) {
+                let (lo, hi) = self.profile.span(net as usize);
+                let span = if netlist.pins(net as usize).len() == 2 {
+                    // The pin is one end and the other end stays, unless it
+                    // is the other swapped element.
+                    let other = lo + hi - from;
+                    if other == to {
+                        continue;
+                    }
+                    (other.min(to), other.max(to))
+                } else if (from == lo && to > lo) || (from == hi && to < hi) {
+                    // The pin leaves an end inward: the other pins decide
+                    // the new end.
+                    CutProfile::span_with(netlist, net as usize, swapped)
+                } else {
+                    // The pin leaves an interior position, or leaves an end
+                    // outward: the span stretches to cover `to`.
+                    (lo.min(to), hi.max(to))
+                };
+                if span != (lo, hi) {
+                    delta.change(net, (lo, hi), span);
                 }
             }
         }
-        for &net in &na[i..] {
-            self.profile
-                .refresh_net(netlist, &self.arrangement, net as usize);
-        }
-        for &net in &nb[j..] {
-            self.profile
-                .refresh_net(netlist, &self.arrangement, net as usize);
-        }
     }
 
-    /// Moves the element at position `from` to position `to` (shifting the
-    /// elements in between), updating the profile.
-    pub fn relocate(&mut self, netlist: &Netlist, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        // Every element in the shifted window changes position; the window
-        // holds the same element set before and after, so the affected nets
-        // can be collected post-shift into the reusable scratch buffer.
-        let (lo, hi) = if from < to { (from, to) } else { (to, from) };
-        self.arrangement.relocate(from, to);
-        self.scratch.clear();
-        for p in lo..=hi {
-            let e = self.arrangement.element_at(p);
-            self.scratch.extend_from_slice(netlist.nets_of(e as usize));
-        }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        for idx in 0..self.scratch.len() {
-            let net = self.scratch[idx];
-            self.profile
-                .refresh_net(netlist, &self.arrangement, net as usize);
+    /// Lists the new spans of the nets a relocation from `from` to `to`
+    /// changes: the moved element lands on `to` and the rest of the window
+    /// shifts by one toward `from`.
+    fn relocate_spans(&self, netlist: &Netlist, from: usize, to: usize, delta: &mut Delta) {
+        let arr = &self.arrangement;
+        let (from, to) = (from as u32, to as u32);
+        let (first, last) = (from.min(to), from.max(to));
+        let shifted = |p: u32| {
+            if p == from {
+                to
+            } else if from < to && from < p && p <= to {
+                p - 1
+            } else if to < from && to <= p && p < from {
+                p + 1
+            } else {
+                p
+            }
+        };
+        // Every net touching the window may change. Each is handled from
+        // its leftmost pin inside the window, so none is listed twice.
+        for p in first..=last {
+            let e = arr.element_at(p as usize);
+            'nets: for &net in netlist.nets_of(e as usize) {
+                let (mut lo, mut hi) = (u32::MAX, 0);
+                for &pin in netlist.pins(net as usize) {
+                    let at = arr.position_of(pin);
+                    if first <= at && at < p {
+                        continue 'nets;
+                    }
+                    let moved = shifted(at);
+                    lo = lo.min(moved);
+                    hi = hi.max(moved);
+                }
+                let old = self.profile.span(net as usize);
+                if (lo, hi) != old {
+                    delta.change(net, old, (lo, hi));
+                }
+            }
         }
     }
 
@@ -147,6 +209,11 @@ mod tests {
     use anneal_netlist::generator::{random_multi_pin, random_two_pin};
     use rand::{rngs::StdRng, RngExt, SeedableRng};
 
+    fn apply(s: &mut ArrangedState, nl: &Netlist, mv: ArrMove) {
+        s.evaluate(nl, mv);
+        s.commit(mv);
+    }
+
     #[test]
     fn swap_updates_incrementally() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -155,7 +222,7 @@ mod tests {
         for _ in 0..200 {
             let p = rng.random_range(0..15);
             let q = rng.random_range(0..15);
-            s.swap(&nl, p, q);
+            apply(&mut s, &nl, ArrMove::Swap(p, q));
         }
         assert!(s.verify(&nl));
     }
@@ -168,7 +235,7 @@ mod tests {
         for _ in 0..200 {
             let from = rng.random_range(0..15);
             let to = rng.random_range(0..15);
-            s.relocate(&nl, from, to);
+            apply(&mut s, &nl, ArrMove::Relocate { from, to });
         }
         assert!(s.verify(&nl));
     }
@@ -179,9 +246,9 @@ mod tests {
         let nl = random_two_pin(10, 40, &mut rng);
         let mut s = ArrangedState::new(&nl, Arrangement::random(10, &mut rng));
         let before = s.clone();
-        s.swap(&nl, 2, 7);
+        apply(&mut s, &nl, ArrMove::Swap(2, 7));
         assert_ne!(s.arrangement(), before.arrangement());
-        s.swap(&nl, 2, 7);
+        apply(&mut s, &nl, ArrMove::Swap(2, 7));
         assert_eq!(s, before);
     }
 
@@ -191,8 +258,8 @@ mod tests {
         let nl = random_two_pin(8, 20, &mut rng);
         let mut s = ArrangedState::new(&nl, Arrangement::random(8, &mut rng));
         let before = s.clone();
-        s.swap(&nl, 3, 3);
-        s.relocate(&nl, 5, 5);
+        apply(&mut s, &nl, ArrMove::Swap(3, 3));
+        apply(&mut s, &nl, ArrMove::Relocate { from: 5, to: 5 });
         assert_eq!(s, before);
     }
 }

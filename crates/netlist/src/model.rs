@@ -88,8 +88,14 @@ impl std::error::Error for BuildNetlistError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     n_elements: usize,
-    nets: Vec<Vec<u32>>,
-    incident: Vec<Vec<u32>>,
+    /// Compressed sparse rows of pins: net `i`'s pins are
+    /// `pins[net_start[i]..net_start[i + 1]]`.
+    net_start: Vec<u32>,
+    pins: Vec<u32>,
+    /// Compressed sparse rows of incident nets: element `e`'s nets are
+    /// `incident[element_start[e]..element_start[e + 1]]`.
+    element_start: Vec<u32>,
+    incident: Vec<u32>,
 }
 
 impl Netlist {
@@ -102,13 +108,15 @@ impl Netlist {
     }
 
     /// Number of circuit elements.
+    #[inline]
     pub fn n_elements(&self) -> usize {
         self.n_elements
     }
 
     /// Number of nets.
+    #[inline]
     pub fn n_nets(&self) -> usize {
-        self.nets.len()
+        self.net_start.len() - 1
     }
 
     /// The pins (element indices, ascending) of net `net`.
@@ -116,13 +124,14 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `net >= self.n_nets()`.
+    #[inline]
     pub fn pins(&self, net: usize) -> &[u32] {
-        &self.nets[net]
+        &self.pins[self.net_start[net] as usize..self.net_start[net + 1] as usize]
     }
 
     /// Iterator over all nets' pin lists.
     pub fn nets(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.nets.iter().map(|v| v.as_slice())
+        (0..self.n_nets()).map(|net| self.pins(net))
     }
 
     /// The nets incident to `element` (ascending net indices).
@@ -130,20 +139,23 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `element >= self.n_elements()`.
+    #[inline]
     pub fn nets_of(&self, element: usize) -> &[u32] {
-        &self.incident[element]
+        &self.incident
+            [self.element_start[element] as usize..self.element_start[element + 1] as usize]
     }
 
     /// Number of nets incident to `element` — the paper's "connectivity" of
     /// an element (Goto's heuristic starts from the most lightly connected
     /// element).
+    #[inline]
     pub fn degree(&self, element: usize) -> usize {
-        self.incident[element].len()
+        self.nets_of(element).len()
     }
 
     /// Whether every net connects exactly two elements (the GOLA case).
     pub fn is_two_pin(&self) -> bool {
-        self.nets.iter().all(|n| n.len() == 2)
+        self.net_start.windows(2).all(|w| w[1] - w[0] == 2)
     }
 
     /// Number of nets connecting `a` and `b` jointly (the multigraph edge
@@ -154,15 +166,15 @@ impl Netlist {
         } else {
             (b, a as u32)
         };
-        self.incident[short]
+        self.nets_of(short)
             .iter()
-            .filter(|&&n| self.nets[n as usize].binary_search(&other).is_ok())
+            .filter(|&&n| self.pins(n as usize).binary_search(&other).is_ok())
             .count()
     }
 
     /// Total pin count over all nets.
     pub fn total_pins(&self) -> usize {
-        self.nets.iter().map(Vec::len).sum()
+        self.pins.len()
     }
 }
 
@@ -204,7 +216,10 @@ impl NetlistBuilder {
         if self.n_elements == 0 {
             return Err(BuildNetlistError::NoElements);
         }
-        let mut nets = Vec::with_capacity(self.nets.len());
+        let mut net_start = Vec::with_capacity(self.nets.len() + 1);
+        net_start.push(0);
+        let mut flat = Vec::new();
+        let mut degree = vec![0u32; self.n_elements + 1];
         for (i, mut pins) in self.nets.into_iter().enumerate() {
             pins.sort_unstable();
             for w in pins.windows(2) {
@@ -225,17 +240,31 @@ impl NetlistBuilder {
                     size: pins.len(),
                 });
             }
-            nets.push(pins);
+            for &p in &pins {
+                degree[p as usize + 1] += 1;
+            }
+            flat.extend_from_slice(&pins);
+            net_start.push(flat.len() as u32);
         }
-        let mut incident = vec![Vec::new(); self.n_elements];
-        for (i, pins) in nets.iter().enumerate() {
-            for &p in pins {
-                incident[p as usize].push(i as u32);
+        // Prefix sums of the degrees give each element's row start; filling
+        // the rows net by net keeps every row in ascending net order.
+        let mut element_start = degree;
+        for e in 1..element_start.len() {
+            element_start[e] += element_start[e - 1];
+        }
+        let mut fill = element_start.clone();
+        let mut incident = vec![0; flat.len()];
+        for net in 0..net_start.len() - 1 {
+            for &p in &flat[net_start[net] as usize..net_start[net + 1] as usize] {
+                incident[fill[p as usize] as usize] = net as u32;
+                fill[p as usize] += 1;
             }
         }
         Ok(Netlist {
             n_elements: self.n_elements,
-            nets,
+            net_start,
+            pins: flat,
+            element_start,
             incident,
         })
     }

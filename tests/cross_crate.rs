@@ -1,7 +1,10 @@
 //! Cross-crate integration: the framework drives every substrate problem
 //! end-to-end through the public API of the root crate.
 
-use annealbench::core::{local, Annealer, Budget, GFunction, Strategy};
+use annealbench::core::{
+    estimate_delta_stats, local, Annealer, Budget, GFunction, Problem, Rng, RngExt, RunResult,
+    StopReason, Strategy,
+};
 use annealbench::linarr::{Neighborhood, Objective};
 use annealbench::netlist::generator::{random_multi_pin, random_two_pin};
 use annealbench::partition::{kernighan_lin, PartitionState};
@@ -181,4 +184,175 @@ fn seeded_runs_reproduce_across_problem_types() {
     let b = run();
     assert_eq!(a.best_cost, b.best_cost);
     assert_eq!(a.best_state.order(), b.best_state.order());
+}
+
+/// Linear arrangement with only the methods that predate
+/// `evaluate`/`commit`/`discard` forwarded, so every strategy takes the
+/// default apply → cost → undo path through it.
+struct DefaultsOnly<'a>(&'a LinearArrangementProblem);
+
+impl Problem for DefaultsOnly<'_> {
+    type State = <LinearArrangementProblem as Problem>::State;
+    type Move = <LinearArrangementProblem as Problem>::Move;
+
+    fn random_state(&self, rng: &mut dyn Rng) -> Self::State {
+        self.0.random_state(rng)
+    }
+    fn cost(&self, state: &Self::State) -> f64 {
+        self.0.cost(state)
+    }
+    fn propose(&self, state: &Self::State, rng: &mut dyn Rng) -> Self::Move {
+        self.0.propose(state, rng)
+    }
+    fn apply(&self, state: &mut Self::State, mv: &Self::Move) {
+        self.0.apply(state, mv)
+    }
+    fn undo(&self, state: &mut Self::State, mv: &Self::Move) {
+        self.0.undo(state, mv)
+    }
+    fn improving_move(&self, state: &Self::State, probes: &mut u64) -> Option<Self::Move> {
+        self.0.improving_move(state, probes)
+    }
+    fn all_moves(&self, state: &Self::State) -> Vec<Self::Move> {
+        self.0.all_moves(state)
+    }
+    fn all_moves_into(&self, state: &Self::State, buf: &mut Vec<Self::Move>) {
+        self.0.all_moves_into(state, buf)
+    }
+}
+
+fn assert_same_run<S: PartialEq + std::fmt::Debug>(a: &RunResult<S>, b: &RunResult<S>) {
+    assert_eq!(a.best_state, b.best_state);
+    assert_eq!(a.best_cost.to_bits(), b.best_cost.to_bits());
+    assert_eq!(a.initial_cost.to_bits(), b.initial_cost.to_bits());
+    assert_eq!(a.final_cost.to_bits(), b.final_cost.to_bits());
+    assert_eq!(a.stop, b.stop);
+    assert_eq!(a.stats, b.stats);
+}
+
+#[test]
+fn strategies_agree_with_and_without_move_evaluation() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let gola = random_two_pin(15, 150, &mut rng);
+    let nola = random_multi_pin(15, 150, 2, 10, &mut rng);
+    let strategies = [
+        Strategy::Figure1,
+        Strategy::Figure2,
+        Strategy::Rejectionless,
+        Strategy::ReplicaExchange {
+            exchange_interval: 8,
+        },
+    ];
+    for nl in [gola, nola] {
+        for neighborhood in [
+            Neighborhood::PairwiseInterchange,
+            Neighborhood::SingleExchange,
+        ] {
+            for objective in [Objective::Density, Objective::TotalSpan] {
+                let fast = LinearArrangementProblem::new(nl.clone())
+                    .with_neighborhood(neighborhood)
+                    .with_objective(objective);
+                let slow = DefaultsOnly(&fast);
+                for strategy in strategies {
+                    let g = GFunction::six_temp_annealing(2.0);
+                    let a = Annealer::new(&fast)
+                        .strategy(strategy)
+                        .budget(Budget::evaluations(6_000))
+                        .trajectory(500)
+                        .seed(21)
+                        .run(&mut g.clone());
+                    let b = Annealer::new(&slow)
+                        .strategy(strategy)
+                        .budget(Budget::evaluations(6_000))
+                        .trajectory(500)
+                        .seed(21)
+                        .run(&mut g.clone());
+                    assert_same_run(&a, &b);
+                    assert!(a.best_state.verify(fast.netlist()), "{strategy:?}");
+                }
+                let a = estimate_delta_stats(&fast, 500, &mut StdRng::seed_from_u64(5));
+                let b = estimate_delta_stats(&slow, 500, &mut StdRng::seed_from_u64(5));
+                assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+                assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
+                assert_eq!(
+                    a.min_positive.map(f64::to_bits),
+                    b.min_positive.map(f64::to_bits)
+                );
+                assert_eq!(a.samples, b.samples);
+            }
+        }
+    }
+}
+
+/// A call the recording toy saw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Call {
+    Propose,
+    Apply,
+    Cost,
+    Undo,
+}
+
+/// Minimize the set bits of a word by flipping one, recording every call.
+/// It overrides nothing beyond apply/undo, like the TSP and partition
+/// problems, whose floats depend on the exact apply → cost → undo order.
+struct Recording(std::cell::RefCell<Vec<Call>>);
+
+impl Problem for Recording {
+    type State = u64;
+    type Move = u32;
+
+    fn random_state(&self, rng: &mut dyn Rng) -> u64 {
+        rng.random_range(0..1 << 16)
+    }
+    fn cost(&self, s: &u64) -> f64 {
+        self.0.borrow_mut().push(Call::Cost);
+        s.count_ones() as f64
+    }
+    fn propose(&self, _: &u64, rng: &mut dyn Rng) -> u32 {
+        self.0.borrow_mut().push(Call::Propose);
+        rng.random_range(0..16)
+    }
+    fn apply(&self, s: &mut u64, m: &u32) {
+        self.0.borrow_mut().push(Call::Apply);
+        *s ^= 1 << m;
+    }
+    fn undo(&self, s: &mut u64, m: &u32) {
+        self.0.borrow_mut().push(Call::Undo);
+        *s ^= 1 << m;
+    }
+}
+
+#[test]
+fn default_move_evaluation_is_apply_cost_undo() {
+    let p = Recording(Default::default());
+    let mut s = 0b1011u64;
+    assert_eq!(p.evaluate(&mut s, &1), 2.0);
+    p.discard(&mut s, &1);
+    assert_eq!(s, 0b1011);
+    assert_eq!(p.evaluate(&mut s, &2), 4.0);
+    p.commit(&mut s, &2);
+    assert_eq!(s, 0b1111);
+    use Call::*;
+    assert_eq!(*p.0.borrow(), [Apply, Cost, Undo, Apply, Cost]);
+
+    // Under Figure 1 every proposal is followed by exactly apply, cost and,
+    // for a rejected or dropped move, undo.
+    p.0.borrow_mut().clear();
+    let r = Annealer::new(&p)
+        .budget(Budget::evaluations(3_000))
+        .seed(3)
+        .run(&mut GFunction::metropolis(0.5));
+    let calls = p.0.borrow();
+    let first = calls.iter().position(|&c| c == Propose).unwrap();
+    let mut undone = 0;
+    for step in calls[first..].split(|&c| c == Propose).skip(1) {
+        match step {
+            [Apply, Cost] => {}
+            [Apply, Cost, Undo] => undone += 1,
+            other => panic!("unexpected call sequence {other:?}"),
+        }
+    }
+    let dropped = r.stats.equilibrium_advances + u64::from(r.stop == StopReason::Equilibrium);
+    assert_eq!(undone, r.stats.rejected_uphill + dropped);
 }
