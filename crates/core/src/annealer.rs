@@ -8,7 +8,10 @@ use crate::budget::Budget;
 use crate::problem::Problem;
 use crate::schedule::adaptive::AcceptanceController;
 use crate::stats::RunResult;
-use crate::strategy::{Figure1, Figure2, Rejectionless, ReplicaExchange, DEFAULT_EQUILIBRIUM};
+use crate::strategy::{
+    Figure1, Figure2, Rejectionless, ReplicaExchange, DEFAULT_EQUILIBRIUM,
+    DEFAULT_EXCHANGE_INTERVAL,
+};
 use crate::telemetry::RunTelemetry;
 use crate::trace::{ChainObserver, NoopObserver};
 
@@ -30,6 +33,39 @@ pub enum Strategy {
         /// Within-chain proposals per rung between swap phases.
         exchange_interval: u64,
     },
+}
+
+impl Strategy {
+    /// The lower-case strategy names (the `--strategy` and job-spec
+    /// vocabulary), in variant order.
+    pub const NAMES: [&'static str; 4] =
+        ["figure1", "figure2", "rejectionless", "replica-exchange"];
+
+    /// The strategy spelled `name` (one of [`NAMES`](Self::NAMES)), or `None`.
+    /// `exchange_interval` is used by replica exchange only; `None` means
+    /// [`DEFAULT_EXCHANGE_INTERVAL`].
+    pub fn from_name(name: &str, exchange_interval: Option<u64>) -> Option<Strategy> {
+        match name {
+            "figure1" => Some(Strategy::Figure1),
+            "figure2" => Some(Strategy::Figure2),
+            "rejectionless" => Some(Strategy::Rejectionless),
+            "replica-exchange" => Some(Strategy::ReplicaExchange {
+                exchange_interval: exchange_interval.unwrap_or(DEFAULT_EXCHANGE_INTERVAL),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The strategy's lower-case name, the inverse of
+    /// [`from_name`](Self::from_name).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Strategy::Figure1 => Self::NAMES[0],
+            Strategy::Figure2 => Self::NAMES[1],
+            Strategy::Rejectionless => Self::NAMES[2],
+            Strategy::ReplicaExchange { .. } => Self::NAMES[3],
+        }
+    }
 }
 
 /// A configured optimization run — the crate's high-level API.
@@ -297,6 +333,17 @@ mod tests {
             assert_eq!(obs.trace().stages.len(), traced.stats.per_temp.len());
             assert!(obs.trace().stop.is_some());
         }
+    }
+
+    #[test]
+    fn strategy_names_round_trip() {
+        for name in Strategy::NAMES {
+            assert_eq!(Strategy::from_name(name, Some(8)).unwrap().name(), name);
+        }
+        let rx = Strategy::from_name("replica-exchange", None);
+        let exchange_interval = DEFAULT_EXCHANGE_INTERVAL;
+        assert_eq!(rx, Some(Strategy::ReplicaExchange { exchange_interval }));
+        assert_eq!(Strategy::from_name("Figure1", None), None);
     }
 
     #[test]

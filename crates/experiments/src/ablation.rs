@@ -14,14 +14,12 @@
 //!   count at a fixed budget to see how the Goto-vs-Monte-Carlo crossover
 //!   moves.
 
-use anneal_core::{derive_seed, GFunction, Gate, Schedule, Strategy};
+use anneal_core::{GFunction, Gate, Schedule, Strategy};
 use anneal_linarr::LinearArrangementProblem;
-use anneal_netlist::generator::{random_multi_pin, random_two_pin};
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::budgetmap::{NOLA_EVAL_COST, PAPER_SECONDS};
 use crate::config::SuiteConfig;
-use crate::instances::gola_paper_set;
+use crate::instances::{self, gola_paper_set};
 use crate::roster::MethodSpec;
 use crate::runner::ArrangementSet;
 use crate::table::Table;
@@ -198,13 +196,11 @@ pub fn nola_net_size(config: &SuiteConfig) -> Table {
         .scale_div(NOLA_EVAL_COST);
     let y_six = config.tuned.annealing6;
     for max_pins in NOLA_MAX_PINS {
+        let seed = config.seed ^ (max_pins as u64) << 32;
         let problems: Vec<LinearArrangementProblem> = (0..30)
             .map(|i| {
-                let mut rng = StdRng::seed_from_u64(derive_seed(
-                    config.seed ^ (max_pins as u64) << 32,
-                    i as u64,
-                ));
-                LinearArrangementProblem::new(random_multi_pin(15, 150, 2, max_pins, &mut rng))
+                let netlist = instances::multi_pin(seed, i, 15, 150, (2, max_pins));
+                LinearArrangementProblem::new(netlist)
             })
             .collect();
         let set = ArrangementSet::with_random_starts(problems, config.seed);
@@ -242,12 +238,9 @@ pub fn instance_size(config: &SuiteConfig) -> Table {
     let budget = config.scale.vax_seconds(PAPER_SECONDS[2]);
     let y_six = config.tuned.annealing6;
     for n in INSTANCE_SIZES {
+        let seed = config.seed ^ (n as u64) << 40;
         let problems: Vec<LinearArrangementProblem> = (0..30)
-            .map(|i| {
-                let mut rng =
-                    StdRng::seed_from_u64(derive_seed(config.seed ^ (n as u64) << 40, i as u64));
-                LinearArrangementProblem::new(random_two_pin(n, 10 * n, &mut rng))
-            })
+            .map(|i| LinearArrangementProblem::new(instances::gola(seed, i, n, 10 * n)))
             .collect();
         let set = ArrangementSet::with_random_starts(problems, config.seed);
         let sta = MethodSpec::new("STA", move || GFunction::six_temp_annealing(y_six));

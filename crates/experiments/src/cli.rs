@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use anneal_core::{AdaptiveMode, Strategy, DEFAULT_EXCHANGE_INTERVAL};
+use anneal_core::{AdaptiveMode, Strategy};
 
 use crate::config::SuiteConfig;
 use crate::faults::FaultPlan;
@@ -68,9 +68,6 @@ pub enum Command {
     /// result record — byte-identical to what the server would store.
     Job(String),
 }
-
-/// The `--strategy` spellings `repro` accepts.
-pub const STRATEGIES: [&str; 4] = ["figure1", "figure2", "rejectionless", "replica-exchange"];
 
 /// The `--schedule` spellings `repro` accepts.
 pub const SCHEDULES: [&str; 2] = ["adaptive", "asa"];
@@ -449,21 +446,16 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
 
     config = config.with_retry(RetryPolicy::new(retries, backoff));
 
-    let strategy = match strategy_name.as_deref() {
-        None => None,
-        Some("figure1") => Some(Strategy::Figure1),
-        Some("figure2") => Some(Strategy::Figure2),
-        Some("rejectionless") => Some(Strategy::Rejectionless),
-        Some("replica-exchange") => Some(Strategy::ReplicaExchange {
-            exchange_interval: exchange_interval.unwrap_or(DEFAULT_EXCHANGE_INTERVAL),
-        }),
-        Some(other) => {
-            return Err(format!(
-                "unknown --strategy `{other}` (one of: {})",
-                STRATEGIES.join(", ")
-            ));
-        }
-    };
+    let strategy = strategy_name
+        .map(|name| {
+            Strategy::from_name(&name, exchange_interval).ok_or_else(|| {
+                format!(
+                    "unknown --strategy `{name}` (one of: {})",
+                    Strategy::NAMES.join(", ")
+                )
+            })
+        })
+        .transpose()?;
     if !matches!(strategy, Some(Strategy::ReplicaExchange { .. }))
         && (replicas.is_some() || exchange_interval.is_some())
     {

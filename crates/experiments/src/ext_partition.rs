@@ -7,12 +7,13 @@
 //! Kernighan–Lin heuristic and time-equalized multistart descent, on random
 //! two-pin netlists.
 
-use anneal_core::{derive_seed, local, Figure1, GFunction, Problem};
-use anneal_netlist::generator::random_two_pin;
+use anneal_core::{derive_seed, local, GFunction, NoopObserver};
 use anneal_partition::{fiduccia_mattheyses, kernighan_lin, PartitionProblem, PartitionState};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::SuiteConfig;
+use crate::instances;
+use crate::runner::{random_start, run_one, Chain};
 use crate::table::Table;
 
 /// Instances in the extension set.
@@ -23,6 +24,12 @@ pub const N_ELEMENTS: usize = 32;
 pub const N_NETS: usize = 96;
 /// Paper-equivalent seconds per instance and method.
 pub const SECONDS: f64 = 6.0;
+/// Top temperature Y₁ of the six-temperature row (also a netlist job's
+/// `sta` default).
+pub(crate) const STA_Y1: f64 = 10.0;
+/// The Metropolis row's temperature (also a netlist job's `metropolis`
+/// default).
+pub(crate) const METROPOLIS_Y: f64 = 2.0;
 
 /// Regenerates the partition extension table: rows are methods, columns are
 /// the total best cut over the instance set (lower is better) and the number
@@ -30,29 +37,22 @@ pub const SECONDS: f64 = 6.0;
 /// method.
 pub fn run(config: &SuiteConfig) -> Table {
     let budget = config.scale.vax_seconds(SECONDS);
-    let problems: Vec<PartitionProblem> = (0..N_INSTANCES)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x504152, i as u64));
-            PartitionProblem::new(random_two_pin(N_ELEMENTS, N_NETS, &mut rng))
-        })
+    let problems: Vec<PartitionProblem> = (0..N_INSTANCES as u64)
+        .map(|i| PartitionProblem::new(instances::partition(config.seed, i, N_ELEMENTS, N_NETS)))
         .collect();
 
     // Fixed random starting partitions shared by the Monte Carlo methods.
-    let starts: Vec<PartitionState> = problems
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i as u64));
-            p.random_state(&mut rng)
-        })
+    let starts: Vec<PartitionState> = (0..N_INSTANCES as u64)
+        .zip(&problems)
+        .map(|(i, p)| random_start(p, config.seed, i))
         .collect();
 
     type GFactory = fn() -> GFunction;
     let monte_carlo: Vec<(&str, GFactory)> = vec![
         ("Six Temperature Annealing (Y₁=10)", || {
-            GFunction::six_temp_annealing(10.0)
+            GFunction::six_temp_annealing(STA_Y1)
         }),
-        ("Metropolis", || GFunction::metropolis(2.0)),
+        ("Metropolis", || GFunction::metropolis(METROPOLIS_Y)),
         ("g = 1", GFunction::unit),
         ("Two level g", GFunction::two_level),
     ];
@@ -60,17 +60,13 @@ pub fn run(config: &SuiteConfig) -> Table {
     // Collect per-method best cuts per instance.
     let mut results: Vec<(String, Vec<f64>)> = Vec::new();
 
+    let chain = Chain::figure1(budget);
     for (name, make_g) in &monte_carlo {
-        let cuts: Vec<f64> = problems
-            .iter()
-            .zip(&starts)
-            .enumerate()
+        let cuts: Vec<f64> = (0..N_INSTANCES as u64)
+            .zip(problems.iter().zip(starts.iter().cloned()))
             .map(|(i, (p, start))| {
-                let mut g = make_g();
-                let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x52554E, i as u64));
-                Figure1::default()
-                    .run(p, &mut g, start.clone(), budget, &mut rng)
-                    .best_cost
+                let g = &mut make_g();
+                run_one(p, start, g, &chain, config.seed, i, &mut NoopObserver).best_cost
             })
             .collect();
         results.push((name.to_string(), cuts));

@@ -8,13 +8,13 @@
 //! 2-opt descent). \[GOLD84\]'s finding — 2-opt beats annealing on most
 //! instances at equal time — is the shape to reproduce.
 
-use anneal_core::{derive_seed, local, Figure1, GFunction, Problem};
-use anneal_tsp::{
-    hull_cheapest_insertion, nearest_neighbor, two_opt_descent, TspInstance, TspProblem,
-};
+use anneal_core::{derive_seed, local, GFunction, NoopObserver};
+use anneal_tsp::{hull_cheapest_insertion, nearest_neighbor, two_opt_descent, TspProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::SuiteConfig;
+use crate::instances;
+use crate::runner::{random_start, run_one, Chain};
 use crate::table::Table;
 
 /// Instances in the extension set (\[GOLD84\] used 10).
@@ -27,56 +27,48 @@ pub const N_CITIES: usize = 60;
 /// minutes per instance — enough for a few complete descents, which is what
 /// the \[LIN73\] multistart protocol assumes.
 pub const SECONDS: f64 = 600.0;
+/// Top temperature Y₁ of the six-temperature row and of \[GOLD84\]'s
+/// uniform ladder, on unit-square tour lengths (also a TSP job's `sta`
+/// default).
+pub(crate) const STA_Y1: f64 = 0.3;
+/// The Metropolis row's temperature (also a TSP job's `metropolis`
+/// default).
+pub(crate) const METROPOLIS_Y: f64 = 0.1;
 
 /// Regenerates the TSP extension table: rows are methods; columns are the
 /// total tour length over the set (lower is better) and the number of
 /// instances where the method beats six-temperature annealing.
 pub fn run(config: &SuiteConfig) -> Table {
     let budget = config.scale.vax_seconds(SECONDS);
-    let problems: Vec<TspProblem> = (0..N_INSTANCES)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x545350, i as u64));
-            TspProblem::new(TspInstance::random_euclidean(N_CITIES, &mut rng))
-        })
+    let problems: Vec<TspProblem> = (0..N_INSTANCES as u64)
+        .map(|i| TspProblem::new(instances::tsp(config.seed, i, N_CITIES)))
         .collect();
 
-    let starts: Vec<_> = problems
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i as u64));
-            p.random_state(&mut rng)
-        })
-        .collect();
-
+    let chain = Chain::figure1(budget);
     let run_sa = |make_g: &dyn Fn() -> GFunction| -> Vec<f64> {
-        problems
-            .iter()
-            .zip(&starts)
-            .enumerate()
-            .map(|(i, (p, start))| {
-                let mut g = make_g();
-                let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x52554E, i as u64));
-                Figure1::default()
-                    .run(p, &mut g, start.clone(), budget, &mut rng)
-                    .best_cost
+        (0..N_INSTANCES as u64)
+            .zip(&problems)
+            .map(|(i, p)| {
+                let start = random_start(p, config.seed, i);
+                let g = &mut make_g();
+                run_one(p, start, g, &chain, config.seed, i, &mut NoopObserver).best_cost
             })
             .collect()
     };
 
     let mut results: Vec<(String, Vec<f64>)> = Vec::new();
-    let sa_lengths = run_sa(&|| GFunction::six_temp_annealing(0.3));
+    let sa_lengths = run_sa(&|| GFunction::six_temp_annealing(STA_Y1));
     results.push(("Six Temperature Annealing".to_string(), sa_lengths.clone()));
     results.push((
         "Metropolis".to_string(),
-        run_sa(&|| GFunction::metropolis(0.1)),
+        run_sa(&|| GFunction::metropolis(METROPOLIS_Y)),
     ));
     results.push(("g = 1".to_string(), run_sa(&GFunction::unit)));
     // [GOLD84]'s own protocol: 25 uniformly spaced temperatures in (0, τ).
     results.push((
         "Annealing uniform-25 [GOLD84]".to_string(),
         run_sa(&|| {
-            GFunction::annealing(anneal_core::Schedule::uniform(0.3, 25))
+            GFunction::annealing(anneal_core::Schedule::uniform(STA_Y1, 25))
                 .named("Annealing uniform-25")
         }),
     ));

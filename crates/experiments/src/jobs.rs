@@ -12,9 +12,9 @@
 //! # Determinism contract
 //!
 //! A [`JobSpec`] pins everything a run depends on — problem generator,
-//! method, strategy, budget and base seed — and execution flows through the
-//! same `runner` dispatch the offline CLI uses (`run_strategy`,
-//! `adapt_schedule_for`, the same seed-stream salts).
+//! method, strategy, budget and base seed — and each instance is generated
+//! by `instances` and run by `runner::run_one`, the same function
+//! that runs every table cell, on the same seed streams.
 //! A job's result [record](JobSpec::execute) therefore contains no
 //! wall-clock fields and is **byte-identical** to running
 //! `repro job SPEC.json` offline with the same spec. The only
@@ -41,22 +41,20 @@ use std::time::Duration;
 use anneal_core::json::{self, escape, Json};
 use anneal_core::schedule::adaptive::AdaptiveMode;
 use anneal_core::{
-    derive_seed, metrics, watchdog, Budget, GFunction, NoopObserver, Problem, Strategy,
-    DEFAULT_EQUILIBRIUM, DEFAULT_EXCHANGE_INTERVAL,
+    metrics, watchdog, Budget, GFunction, NoopObserver, Problem, Strategy, DEFAULT_EQUILIBRIUM,
 };
 use anneal_linarr::LinearArrangementProblem;
-use anneal_netlist::generator::{random_multi_pin, random_two_pin};
 use anneal_netlist::Netlist;
 use anneal_partition::PartitionProblem;
-use anneal_tsp::{TspInstance, TspProblem};
-use rand::{rngs::StdRng, SeedableRng};
+use anneal_tsp::TspProblem;
 
 use crate::budgetmap::Scale;
 use crate::checkpoint::wal_line;
-use crate::instances::{DEFAULT_SEED, NOLA_PIN_RANGE};
+use crate::instances::{self, DEFAULT_SEED};
 use crate::jsonl::{self, Mode};
-use crate::runner::{adapt_schedule_for, run_strategy, PROBE_SALT, RUN_SALT};
+use crate::runner::{chain_seed, panic_message, random_start, run_one, Chain};
 use crate::scheduler::{PushError, TaskQueue};
+use crate::{ext_partition, ext_tsp};
 
 /// Schema tag of a job result record.
 pub const JOB_SCHEMA: &str = "anneal-job-record";
@@ -78,13 +76,6 @@ pub const MAX_SECONDS: f64 = 36_000.0;
 pub const DEFAULT_LIST_LIMIT: u64 = 50;
 /// Largest `GET /jobs` page size.
 pub const MAX_LIST_LIMIT: u64 = 500;
-
-/// Seed salt for TSP instance generation (mirrors `ext_tsp`).
-const TSP_SALT: u64 = 0x545350;
-/// Seed salt for partition instance generation (mirrors `ext_partition`).
-const PARTITION_SALT: u64 = 0x504152;
-/// Additive seed offset for NOLA instance generation (mirrors `instances`).
-const NOLA_OFFSET: u64 = 0x4E4F;
 
 /// Which problem family a job solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,16 +153,6 @@ impl Method {
                 "field `method` must be one of sta, metropolis, g1, two-level; got `{other}`"
             )),
         }
-    }
-}
-
-/// Stable lower-case strategy name (the CLI's `--strategy` vocabulary).
-pub fn strategy_str(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Figure1 => "figure1",
-        Strategy::Figure2 => "figure2",
-        Strategy::Rejectionless => "rejectionless",
-        Strategy::ReplicaExchange { .. } => "replica-exchange",
     }
 }
 
@@ -392,20 +373,12 @@ impl JobSpec {
             Some(v) => Some(ranged_u64(v, "replicas", 2, 16)? as usize),
             None => None,
         };
-        let strategy = match strategy_name {
-            "figure1" => Strategy::Figure1,
-            "figure2" => Strategy::Figure2,
-            "rejectionless" => Strategy::Rejectionless,
-            "replica-exchange" => Strategy::ReplicaExchange {
-                exchange_interval: exchange_interval.unwrap_or(DEFAULT_EXCHANGE_INTERVAL),
-            },
-            other => {
-                return Err(format!(
-                    "field `strategy` must be one of figure1, figure2, rejectionless, \
-                     replica-exchange; got `{other}`"
-                ))
-            }
-        };
+        let strategy = Strategy::from_name(strategy_name, exchange_interval).ok_or_else(|| {
+            format!(
+                "field `strategy` must be one of {}; got `{strategy_name}`",
+                Strategy::NAMES.join(", ")
+            )
+        })?;
         if !matches!(strategy, Strategy::ReplicaExchange { .. })
             && (replicas.is_some() || exchange_interval.is_some())
         {
@@ -515,10 +488,7 @@ impl JobSpec {
         if let Some(t) = self.temperature {
             s.push_str(&format!(",\"temperature\":{}", json::float(t)));
         }
-        s.push_str(&format!(
-            ",\"strategy\":\"{}\"",
-            strategy_str(self.strategy)
-        ));
+        s.push_str(&format!(",\"strategy\":\"{}\"", self.strategy.name()));
         if let Some(k) = self.replicas {
             s.push_str(&format!(",\"replicas\":{k}"));
         }
@@ -568,13 +538,8 @@ impl JobSpec {
             match catch_unwind(AssertUnwindSafe(|| self.run_instance(i))) {
                 Ok(out) => outs.push(out),
                 Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "instance panicked".to_string());
                     return JobOutcome::Failed {
-                        error: format!("instance {i}: {msg}"),
+                        error: format!("instance {i}: {}", panic_message(payload)),
                     };
                 }
             }
@@ -590,27 +555,18 @@ impl JobSpec {
             .map(|ms| watchdog::arm(Duration::from_millis(ms)));
         match self.problem {
             ProblemKind::Gola | ProblemKind::Nola => {
-                let p = LinearArrangementProblem::new(self.netlist_for(i));
-                self.run_generic(&p, i)
+                self.run_on(&LinearArrangementProblem::new(self.netlist_for(i)), i)
             }
-            ProblemKind::Partition => {
-                let p = PartitionProblem::new(self.netlist_for(i));
-                self.run_generic(&p, i)
-            }
-            ProblemKind::Tsp => {
-                let mut rng = StdRng::seed_from_u64(derive_seed(self.seed ^ TSP_SALT, i));
-                let p = TspProblem::new(TspInstance::random_euclidean(
-                    self.cities as usize,
-                    &mut rng,
-                ));
-                self.run_generic(&p, i)
-            }
+            ProblemKind::Partition => self.run_on(&PartitionProblem::new(self.netlist_for(i)), i),
+            ProblemKind::Tsp => self.run_on(
+                &TspProblem::new(instances::tsp(self.seed, i, self.cities as usize)),
+                i,
+            ),
         }
     }
 
-    /// Instance `i`'s netlist: the inline one verbatim, or the family
-    /// generator on the same salted seed streams the suite uses
-    /// ([`crate::instances`], `ext_partition`).
+    /// Instance `i`'s netlist: the inline one verbatim, or the family's
+    /// [`instances`] generator.
     fn netlist_for(&self, i: u64) -> Netlist {
         if let Some(nets) = &self.netlist {
             let pins = nets
@@ -621,82 +577,61 @@ impl JobSpec {
                 .build()
                 .expect("netlist validated at parse time");
         }
-        match self.problem {
-            ProblemKind::Gola => {
-                let mut rng = StdRng::seed_from_u64(derive_seed(self.seed, i));
-                random_two_pin(self.elements as usize, self.nets as usize, &mut rng)
-            }
-            ProblemKind::Nola => {
-                let mut rng =
-                    StdRng::seed_from_u64(derive_seed(self.seed.wrapping_add(NOLA_OFFSET), i));
-                random_multi_pin(
-                    self.elements as usize,
-                    self.nets as usize,
-                    NOLA_PIN_RANGE.0,
-                    NOLA_PIN_RANGE.1,
-                    &mut rng,
-                )
-            }
-            ProblemKind::Partition => {
-                let mut rng = StdRng::seed_from_u64(derive_seed(self.seed ^ PARTITION_SALT, i));
-                random_two_pin(self.elements as usize, self.nets as usize, &mut rng)
-            }
+        let family = match self.problem {
+            ProblemKind::Gola => instances::gola,
+            ProblemKind::Nola => instances::nola,
+            ProblemKind::Partition => instances::partition,
             ProblemKind::Tsp => unreachable!("TSP has no netlist"),
-        }
+        };
+        family(self.seed, i, self.elements as usize, self.nets as usize)
     }
 
-    fn run_generic<P: Problem>(&self, p: &P, i: u64) -> InstanceOut {
-        let mut start_rng = StdRng::seed_from_u64(derive_seed(self.seed, i));
-        let start = p.random_state(&mut start_rng);
-        let mut g = self.g_function();
-        let (budget, controller) = adapt_schedule_for(
-            self.schedule,
-            derive_seed(self.seed ^ PROBE_SALT, i),
-            p,
-            &mut g,
-            self.budget(),
-        );
-        let chain_seed = derive_seed(self.seed ^ RUN_SALT, i);
-        let mut rng = StdRng::seed_from_u64(chain_seed);
-        let result = run_strategy(
-            p,
-            &mut g,
-            start,
-            self.strategy,
-            budget,
-            DEFAULT_EQUILIBRIUM,
-            self.replicas,
-            controller,
-            &mut rng,
-            &mut NoopObserver,
+    /// Runs instance `i` of `problem` from its seeded random start.
+    fn run_on<P: Problem>(&self, problem: &P, i: u64) -> InstanceOut {
+        let chain = Chain {
+            strategy: self.strategy,
+            budget: self.budget(),
+            equilibrium: DEFAULT_EQUILIBRIUM,
+            replicas: self.replicas,
+            schedule: self.schedule,
+        };
+        let start = random_start(problem, self.seed, i);
+        let g = &mut self.g_function();
+        let r = run_one(problem, start, g, &chain, self.seed, i, &mut NoopObserver);
+        let entry = format!(
+            "{{\"instance\":{i},\"seed\":{},\"initial\":{},\"best\":{},\"final\":{},\
+             \"reduction\":{},\"evals\":{},\"stop\":\"{}\",\"accepted_downhill\":{},\
+             \"accepted_uphill\":{},\"rejected_uphill\":{}}}",
+            chain_seed(self.seed, i),
+            json::float(r.initial_cost),
+            json::float(r.best_cost),
+            json::float(r.final_cost),
+            json::float(r.reduction()),
+            r.stats.evals,
+            r.stop.as_str(),
+            r.stats.accepted_downhill,
+            r.stats.accepted_uphill,
+            r.stats.rejected_uphill,
         );
         InstanceOut {
-            seed: chain_seed,
-            initial: result.initial_cost,
-            best: result.best_cost,
-            final_cost: result.final_cost,
-            reduction: result.reduction(),
-            evals: result.stats.evals,
-            stop: result.stop.as_str(),
-            accepted_downhill: result.stats.accepted_downhill,
-            accepted_uphill: result.stats.accepted_uphill,
-            rejected_uphill: result.stats.rejected_uphill,
+            reduction: r.reduction(),
+            evals: r.stats.evals,
+            entry,
         }
     }
 
-    /// The method's `g` with the family's tuned default `y1` (GOLA-scale
-    /// costs vs unit-square tour lengths) unless `temperature` overrides.
+    /// The method's `g` with the family's default `y1` — the extension
+    /// tables' row temperatures (GOLA-scale costs for netlists, unit-square
+    /// tour lengths for TSP) — unless `temperature` overrides.
     fn g_function(&self) -> GFunction {
-        let tsp = self.problem == ProblemKind::Tsp;
+        let (sta, metropolis) = if self.problem == ProblemKind::Tsp {
+            (ext_tsp::STA_Y1, ext_tsp::METROPOLIS_Y)
+        } else {
+            (ext_partition::STA_Y1, ext_partition::METROPOLIS_Y)
+        };
         match self.method {
-            Method::Sta => GFunction::six_temp_annealing(self.temperature.unwrap_or(if tsp {
-                0.3
-            } else {
-                10.0
-            })),
-            Method::Metropolis => {
-                GFunction::metropolis(self.temperature.unwrap_or(if tsp { 0.1 } else { 2.0 }))
-            }
+            Method::Sta => GFunction::six_temp_annealing(self.temperature.unwrap_or(sta)),
+            Method::Metropolis => GFunction::metropolis(self.temperature.unwrap_or(metropolis)),
             Method::Unit => GFunction::unit(),
             Method::TwoLevel => GFunction::two_level(),
         }
@@ -705,36 +640,15 @@ impl JobSpec {
     fn record_json(&self, outs: &[InstanceOut]) -> String {
         let reduction: f64 = outs.iter().map(|o| o.reduction).sum();
         let evals: u64 = outs.iter().map(|o| o.evals).sum();
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
+        let entries: Vec<&str> = outs.iter().map(|o| o.entry.as_str()).collect();
+        format!(
             "{{\"schema\":\"{JOB_SCHEMA}\",\"version\":{JOB_VERSION},\"spec\":{},\
-             \"budget\":\"{}\",\"reduction\":{},\"evals\":{evals},\"per_instance\":[",
+             \"budget\":\"{}\",\"reduction\":{},\"evals\":{evals},\"per_instance\":[{}]}}",
             self.to_json(),
             self.budget(),
             json::float(reduction),
-        ));
-        for (i, o) in outs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"instance\":{i},\"seed\":{},\"initial\":{},\"best\":{},\"final\":{},\
-                 \"reduction\":{},\"evals\":{},\"stop\":\"{}\",\"accepted_downhill\":{},\
-                 \"accepted_uphill\":{},\"rejected_uphill\":{}}}",
-                o.seed,
-                json::float(o.initial),
-                json::float(o.best),
-                json::float(o.final_cost),
-                json::float(o.reduction),
-                o.evals,
-                o.stop,
-                o.accepted_downhill,
-                o.accepted_uphill,
-                o.rejected_uphill,
-            ));
-        }
-        s.push_str("]}");
-        s
+            entries.join(","),
+        )
     }
 }
 
@@ -786,18 +700,11 @@ fn validate_netlist(problem: ProblemKind, elements: u64, nets: &[Vec<u64>]) -> R
         .map_err(|e| format!("invalid netlist: {e}"))
 }
 
-/// One instance's wall-free result numbers.
+/// One instance's reduction, evaluations and wall-free record entry.
 struct InstanceOut {
-    seed: u64,
-    initial: f64,
-    best: f64,
-    final_cost: f64,
     reduction: f64,
     evals: u64,
-    stop: &'static str,
-    accepted_downhill: u64,
-    accepted_uphill: u64,
-    rejected_uphill: u64,
+    entry: String,
 }
 
 /// How a job execution ended.
@@ -1538,6 +1445,70 @@ mod tests {
                 "{body}: {outcome:?}"
             );
         }
+    }
+
+    /// A served job and a table cell that name the same instances, method,
+    /// budget and seed run the same chains: the GOLA `sta` job at Y₁ = 1
+    /// reproduces Table 4.1's "Six Temperature Annealing" / "6 sec" cell,
+    /// instance by instance.
+    #[test]
+    fn a_gola_job_equals_its_table_4_1_cell() {
+        use crate::budgetmap::PAPER_SECONDS;
+        use crate::config::SuiteConfig;
+        use crate::instances::gola_paper_set;
+        use crate::roster::full_roster;
+        use crate::runner::ArrangementSet;
+        use crate::telemetry::{CellKey, TelemetryLog};
+
+        let config = SuiteConfig::scaled(2);
+        let set = ArrangementSet::with_random_starts(gola_paper_set(config.seed), config.seed);
+        let spec = full_roster(config.tuned)
+            .into_iter()
+            .find(|s| s.name() == "Six Temperature Annealing")
+            .unwrap();
+        let seconds = PAPER_SECONDS[0];
+        let log = TelemetryLog::in_memory();
+        let total = set.run_cell(
+            CellKey::new("table4.1", spec.name(), format!("{seconds:.0} sec")),
+            &spec,
+            config.table_strategy(),
+            config.scale.vax_seconds(seconds),
+            &config.cell_policy(),
+            &log,
+        );
+        let cell = log.records().remove(0);
+
+        let job = JobSpec::parse(&format!(
+            "{{\"problem\":\"gola\",\"instances\":30,\"method\":\"sta\",\"temperature\":1.0,\
+             \"seconds\":{seconds},\"scale\":2,\"seed\":{}}}",
+            config.seed
+        ))
+        .unwrap();
+        let JobOutcome::Done { record } = job.execute(&AtomicBool::new(false)) else {
+            panic!("the job did not finish");
+        };
+        let record = Json::parse(&record).unwrap();
+        let served: Vec<(u64, u64, u64)> = record
+            .arr_field("per_instance")
+            .unwrap()
+            .iter()
+            .map(|i| {
+                let reduction = i.f64_field("reduction").unwrap().to_bits();
+                (
+                    i.u64_field("seed").unwrap(),
+                    reduction,
+                    i.u64_field("evals").unwrap(),
+                )
+            })
+            .collect();
+        let cell: Vec<(u64, u64, u64)> = cell
+            .per_instance
+            .iter()
+            .map(|i| (i.seed, i.reduction.to_bits(), i.evals))
+            .collect();
+        assert_eq!(served, cell);
+        assert_eq!(record.f64_field("reduction").unwrap(), total);
+        assert!(cell.len() >= 4 && cell.iter().all(|&(_, _, evals)| evals > 100));
     }
 
     #[test]

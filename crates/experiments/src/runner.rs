@@ -1,6 +1,12 @@
 //! Shared machinery for the arrangement tables: an instance set with fixed
 //! per-instance starting states, run under any method × strategy × budget.
 //!
+//! [`run_one`] is the one way an instance runs: it derives the instance's
+//! probe and chain seed streams, applies the `--schedule` probe and the
+//! `--replicas` ladder, and runs the strategy through
+//! [`anneal_core::Annealer`]. Table cells, served jobs and the extension
+//! tables all call it.
+//!
 //! Every cell run is **fault isolated**: each instance executes under
 //! [`std::panic::catch_unwind`], so a panicking method (a buggy g function, a
 //! degenerate instance) is recorded as a failed cell in the
@@ -23,9 +29,9 @@ use std::time::{Duration, Instant};
 
 use anneal_core::schedule::adaptive::{self, AcceptanceController, AdaptiveMode};
 use anneal_core::{
-    derive_seed, estimate_delta_stats, metrics, watchdog, Budget, ChainObserver, Figure1, Figure2,
-    GFunction, NoopObserver, Rejectionless, ReplicaExchange, RunResult, RunTelemetry, Strategy,
-    TraceCollector, DEFAULT_EQUILIBRIUM,
+    derive_seed, estimate_delta_stats, metrics, watchdog, Annealer, Budget, ChainObserver,
+    GFunction, NoopObserver, Problem, RunResult, RunTelemetry, Schedule, Strategy, TraceCollector,
+    DEFAULT_EQUILIBRIUM, KIRKPATRICK_RATIO,
 };
 use anneal_linarr::{goto_arrangement, ArrangedState, LinearArrangementProblem};
 use rand::{rngs::StdRng, SeedableRng};
@@ -36,24 +42,106 @@ use crate::telemetry::{CellFailure, CellKey, CellRecord, TelemetryLog};
 use crate::trace::CellTraceWriter;
 
 /// Seed-stream salt separating start generation from chain randomness.
-pub(crate) const RUN_SALT: u64 = 0x52554E;
+const RUN_SALT: u64 = 0x52554E;
 
 /// Seed-stream salt for the adaptive-schedule probe, so probing an instance
 /// never perturbs its chain RNG stream: with `--schedule` the chain still
 /// consumes exactly the stream a grid-swept run would.
-pub(crate) const PROBE_SALT: u64 = 0x50524F4245;
+const PROBE_SALT: u64 = 0x50524F4245;
+
+/// How one chain runs, apart from the instance, its start and the method's
+/// `g`: the knobs a table cell, a served job and an extension-table row all
+/// set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain {
+    /// Control strategy.
+    pub strategy: Strategy,
+    /// Per-instance budget, before any schedule probe is charged to it.
+    pub budget: Budget,
+    /// Equilibrium counter limit `n`.
+    pub equilibrium: u64,
+    /// `--replicas`: rebuild the ladder to this many geometric rungs
+    /// (Kirkpatrick ratio from the method's top temperature) for
+    /// [`Strategy::ReplicaExchange`]; ignored by the other strategies.
+    pub replicas: Option<usize>,
+    /// `--schedule`: replace the method's grid-swept schedule with one
+    /// derived from a probe of the instance (see [`adapt_schedule_for`]).
+    pub schedule: Option<AdaptiveMode>,
+}
+
+impl Chain {
+    /// Figure 1 at `budget` with the method's own schedule — the Monte
+    /// Carlo rows of the extension tables.
+    pub(crate) fn figure1(budget: Budget) -> Self {
+        Chain {
+            strategy: Strategy::Figure1,
+            budget,
+            equilibrium: DEFAULT_EQUILIBRIUM,
+            replicas: None,
+            schedule: None,
+        }
+    }
+}
+
+/// The fixed random start of instance `index` under base `seed`: every
+/// method run on that instance starts from it ("Each g class used the same
+/// initial arrangement", §4.2.1).
+pub(crate) fn random_start<P: Problem>(problem: &P, seed: u64, index: u64) -> P::State {
+    problem.random_state(&mut StdRng::seed_from_u64(derive_seed(seed, index)))
+}
+
+/// The chain seed of instance `index` under base `seed`, on a salted stream
+/// so a chain never replays the draws that generated its start.
+pub(crate) fn chain_seed(seed: u64, index: u64) -> u64 {
+    derive_seed(seed ^ RUN_SALT, index)
+}
+
+/// Runs instance `index` of a set with base `seed`: one chain of `g` on
+/// `problem` from `start`, configured by `chain`. The only place an
+/// instance runs (see the module docs), so a job submitted over HTTP runs
+/// byte-for-byte the chain the offline CLI would. Applies the `schedule`
+/// probe, then the `replicas` ladder, and runs the strategy through
+/// [`Annealer`] seeded with [`chain_seed`].
+pub(crate) fn run_one<P: Problem, O: ChainObserver>(
+    problem: &P,
+    start: P::State,
+    g: &mut GFunction,
+    chain: &Chain,
+    seed: u64,
+    index: u64,
+    obs: &mut O,
+) -> RunResult<P::State> {
+    let probe_seed = derive_seed(seed ^ PROBE_SALT, index);
+    let (budget, controller) =
+        adapt_schedule_for(chain.schedule, probe_seed, problem, g, chain.budget);
+    if let (Strategy::ReplicaExchange { .. }, Some(k)) = (chain.strategy, chain.replicas) {
+        // One chain per rung of a K-rung geometric ladder grown from the
+        // method's own top temperature (the core strategy stays
+        // ladder-agnostic).
+        let top = g.schedule().value(0);
+        *g = g
+            .clone()
+            .with_schedule(Schedule::geometric(top, KIRKPATRICK_RATIO, k));
+    }
+    Annealer::new(problem)
+        .strategy(chain.strategy)
+        .start_from(start)
+        .seed(chain_seed(seed, index))
+        .equilibrium(chain.equilibrium)
+        .budget(budget)
+        .controller(controller)
+        .run_traced(g, obs)
+}
 
 /// Applies an adaptive-schedule override to one run: probes the problem's
 /// delta statistics on the dedicated `probe_seed` RNG stream (independent
 /// of the chain's), replaces `g`'s grid-swept schedule with a derived one
-/// of the same length, and charges the probe against an evaluation budget.
-/// Returns the (possibly reduced) budget and the feedback controller to
-/// attach. With `mode == None` this is a no-op.
-///
-/// Shared by the suite runner and the job server
-/// ([`crate::jobs`]) so both derive schedules — and charge probe costs —
-/// identically for the same seed.
-pub(crate) fn adapt_schedule_for<P: anneal_core::Problem>(
+/// of the same length, and charges the probe against an evaluation budget,
+/// so adaptive runs stay equal-cost with grid-swept ones *including*
+/// tuning. Returns the (possibly reduced) budget and the feedback
+/// controller to attach (honored by Figure 1 and Figure 2 only). With
+/// `mode == None` this is a no-op.
+fn adapt_schedule_for<P: Problem>(
     mode: Option<AdaptiveMode>,
     probe_seed: u64,
     problem: &P,
@@ -80,61 +168,6 @@ pub(crate) fn adapt_schedule_for<P: anneal_core::Problem>(
         wall @ Budget::WallClock(_) => wall,
     };
     (budget, derived.controller)
-}
-
-/// Runs one chain of `strategy` on `problem` from `start` — the single
-/// dispatch point deciding how a (strategy, g, ladder) triple executes.
-///
-/// Both the table runner ([`ArrangementSet`]) and the job server
-/// ([`crate::jobs`]) call through here, so a job submitted over HTTP runs
-/// byte-for-byte the chain the offline CLI would run for the same spec.
-/// `replicas` rebuilds the ladder to that many geometric rungs for
-/// [`Strategy::ReplicaExchange`] (the `--replicas` behavior); `controller`
-/// attaches acceptance feedback to the Figure-1/Figure-2 strategies only —
-/// the others run their schedule open-loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_strategy<P, O>(
-    problem: &P,
-    g: &mut GFunction,
-    start: P::State,
-    strategy: Strategy,
-    budget: Budget,
-    equilibrium: u64,
-    replicas: Option<usize>,
-    controller: Option<AcceptanceController>,
-    rng: &mut StdRng,
-    obs: &mut O,
-) -> RunResult<P::State>
-where
-    P: anneal_core::Problem,
-    O: ChainObserver,
-{
-    match strategy {
-        Strategy::Figure1 => Figure1::with_equilibrium(equilibrium)
-            .with_controller(controller)
-            .run_traced(problem, g, start, budget, rng, obs),
-        Strategy::Figure2 => Figure2::with_equilibrium(equilibrium)
-            .with_controller(controller)
-            .run_traced(problem, g, start, budget, rng, obs),
-        Strategy::Rejectionless => {
-            Rejectionless::default().run_traced(problem, g, start, budget, rng, obs)
-        }
-        Strategy::ReplicaExchange { exchange_interval } => {
-            if let Some(k) = replicas {
-                // `--replicas K`: one chain per rung of a K-rung
-                // geometric ladder grown from the method's own top
-                // temperature (the core strategy stays ladder-agnostic).
-                let top = g.schedule().value(0);
-                *g = g.clone().with_schedule(anneal_core::Schedule::geometric(
-                    top,
-                    anneal_core::KIRKPATRICK_RATIO,
-                    k,
-                ));
-            }
-            ReplicaExchange::with_interval(exchange_interval)
-                .run_traced(problem, g, start, budget, rng, obs)
-        }
-    }
 }
 
 /// Bounded retry for failed cells: up to `attempts` runs per instance, with
@@ -223,7 +256,8 @@ struct InstanceOutcome {
     outcome: Result<(f64, RunTelemetry), String>,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic's payload.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -262,23 +296,11 @@ impl ArrangementSet {
     /// Fixed random starting arrangements, derived from `seed` (Table 4.1,
     /// 4.2(b), 4.2(c) protocol).
     pub fn with_random_starts(problems: Vec<LinearArrangementProblem>, seed: u64) -> Self {
-        use anneal_core::Problem;
-        let starts = problems
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                p.random_state(&mut rng)
-            })
+        let starts = (0..)
+            .zip(&problems)
+            .map(|(i, p)| random_start(p, seed, i))
             .collect();
-        ArrangementSet {
-            problems,
-            starts,
-            seed,
-            equilibrium: DEFAULT_EQUILIBRIUM,
-            replicas: None,
-            schedule: None,
-        }
+        Self::new(problems, starts, seed)
     }
 
     /// Goto arrangements as starting states (Table 4.2(a)/(d) protocol).
@@ -287,6 +309,10 @@ impl ArrangementSet {
             .iter()
             .map(|p| p.state_from(goto_arrangement(p.netlist())))
             .collect();
+        Self::new(problems, starts, seed)
+    }
+
+    fn new(problems: Vec<LinearArrangementProblem>, starts: Vec<ArrangedState>, seed: u64) -> Self {
         ArrangementSet {
             problems,
             starts,
@@ -335,14 +361,7 @@ impl ArrangementSet {
     /// Re-raises any instance panic (use [`run_cell`](Self::run_cell) with an
     /// enabled [`TelemetryLog`] for fault-isolated runs).
     pub fn run_method(&self, spec: &MethodSpec, strategy: Strategy, budget: Budget) -> f64 {
-        self.run_cell(
-            CellKey::new("adhoc", spec.name(), budget.to_string()),
-            spec,
-            strategy,
-            budget,
-            &CellPolicy::sequential(),
-            &TelemetryLog::disabled(),
-        )
+        self.run_method_parallel(spec, strategy, budget, 1)
     }
 
     /// [`run_method`](Self::run_method) with instances fanned out over
@@ -567,7 +586,7 @@ impl ArrangementSet {
         tracer: Option<&CellTraceWriter>,
         attempt: u32,
     ) -> InstanceOutcome {
-        let seed = derive_seed(self.seed ^ RUN_SALT, idx as u64);
+        let seed = chain_seed(self.seed, idx as u64);
         let started = Instant::now();
         // Arm the watchdog on this worker thread: every Meter the strategy
         // creates inside the closure captures the deadline, so a runaway
@@ -654,31 +673,6 @@ impl ArrangementSet {
         }
     }
 
-    /// Applies the `--schedule` override to one instance: probes the
-    /// instance's delta statistics on a salted RNG stream (independent of
-    /// the chain's, so the chain randomness is untouched), replaces `g`'s
-    /// grid-swept schedule with a derived adaptive one of the same length,
-    /// and charges the probe against an evaluation budget — adaptive cells
-    /// stay equal-cost with tuned cells *including* tuning. Returns the
-    /// (possibly reduced) budget and the feedback controller to attach
-    /// (acceptance mode on Figure-1/Figure-2 only; the other strategies run
-    /// the derived schedule open-loop).
-    fn adapt_schedule(
-        &self,
-        idx: usize,
-        problem: &LinearArrangementProblem,
-        g: &mut GFunction,
-        budget: Budget,
-    ) -> (Budget, Option<AcceptanceController>) {
-        adapt_schedule_for(
-            self.schedule,
-            derive_seed(self.seed ^ PROBE_SALT, idx as u64),
-            problem,
-            g,
-            budget,
-        )
-    }
-
     fn run_instance<O: ChainObserver>(
         &self,
         idx: usize,
@@ -688,25 +682,18 @@ impl ArrangementSet {
         obs: &mut O,
     ) -> RunResult<ArrangedState> {
         let problem = &self.problems[idx];
-        let start = &self.starts[idx];
-        let ctx = MethodCtx {
+        let mut g = spec.g(&MethodCtx {
             n_nets: problem.netlist().n_nets(),
-        };
-        let mut g = spec.g(&ctx);
-        let (budget, controller) = self.adapt_schedule(idx, problem, &mut g, budget);
-        let mut rng = StdRng::seed_from_u64(derive_seed(self.seed ^ RUN_SALT, idx as u64));
-        run_strategy(
-            problem,
-            &mut g,
-            start.clone(),
+        });
+        let chain = Chain {
             strategy,
             budget,
-            self.equilibrium,
-            self.replicas,
-            controller,
-            &mut rng,
-            obs,
-        )
+            equilibrium: self.equilibrium,
+            replicas: self.replicas,
+            schedule: self.schedule,
+        };
+        let start = self.starts[idx].clone();
+        run_one(problem, start, &mut g, &chain, self.seed, idx as u64, obs)
     }
 }
 

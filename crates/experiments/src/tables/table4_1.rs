@@ -2,13 +2,13 @@
 //! reduction over 30 instances for all 20 g classes (plus the Goto and
 //! \[COHO83a\] baselines) at 6, 9 and 12 seconds per instance.
 
-use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
 use crate::roster::full_roster;
 use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::tables::SecondsTable;
+use crate::telemetry::TelemetryLog;
 
 /// Regenerates Table 4.1.
 pub fn run(config: &SuiteConfig) -> Table {
@@ -19,47 +19,19 @@ pub fn run(config: &SuiteConfig) -> Table {
 /// [`CellRecord`](crate::telemetry::CellRecord) into `log`, and a panicking
 /// cell is logged as failed while the rest of the table completes.
 pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
-    let problems = gola_paper_set(config.seed);
-    let mut set = ArrangementSet::with_random_starts(problems, config.seed);
-    set.replicas = config.replicas;
-    set.schedule = config.schedule;
-
-    let columns: Vec<String> = PAPER_SECONDS
-        .iter()
-        .map(|s| format!("{s:.0} sec"))
-        .collect();
-    let mut table = Table::new(
-        format!(
-            "Table 4.1 — GOLA: total density reduction, 30 instances, 15 elements, 150 nets \
-             (start density sum {})",
-            set.start_density_sum()
-        ),
-        "g function",
-        columns.clone(),
-    );
-
-    // The Goto construction is budget-independent; the paper lists it once.
-    let goto = set.goto_reduction();
-    table.push_row("Goto", vec![goto; PAPER_SECONDS.len()]);
-
-    for spec in full_roster(config.tuned) {
-        let values = PAPER_SECONDS
-            .iter()
-            .zip(&columns)
-            .map(|(&s, column)| {
-                set.run_cell(
-                    CellKey::new("table4.1", spec.name(), column.clone()),
-                    &spec,
-                    config.table_strategy(),
-                    config.scale.vax_seconds(s),
-                    &config.cell_policy(),
-                    log,
-                )
-            })
-            .collect();
-        table.push_row(spec.name(), values);
+    SecondsTable {
+        name: "table4.1",
+        title: "Table 4.1 — GOLA: total density reduction, 30 instances, 15 elements, \
+               150 nets",
+        goto_row: true,
+        eval_cost: 1,
     }
-    table
+    .run(
+        ArrangementSet::with_random_starts(gola_paper_set(config.seed), config.seed),
+        full_roster(config.tuned),
+        config,
+        log,
+    )
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //! density improvement over 30 instances for the 13-method roster at 6, 9
 //! and 12 seconds per instance (§4.2.3 "Coupling Monte Carlo and GOTO").
 
-use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
 use crate::roster::reduced_roster;
 use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::tables::SecondsTable;
+use crate::telemetry::TelemetryLog;
 
 /// Regenerates Table 4.2(a).
 pub fn run(config: &SuiteConfig) -> Table {
@@ -18,43 +18,18 @@ pub fn run(config: &SuiteConfig) -> Table {
 /// [`run`] with per-cell telemetry and fault isolation (see
 /// [`table4_1::run_logged`](crate::tables::table4_1::run_logged)).
 pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
-    let problems = gola_paper_set(config.seed);
-    let mut set = ArrangementSet::with_goto_starts(problems, config.seed);
-    set.replicas = config.replicas;
-    set.schedule = config.schedule;
-
-    let columns: Vec<String> = PAPER_SECONDS
-        .iter()
-        .map(|s| format!("{s:.0} sec"))
-        .collect();
-    let mut table = Table::new(
-        format!(
-            "Table 4.2(a) — GOLA from Goto arrangements: total improvement \
-             (start density sum {})",
-            set.start_density_sum()
-        ),
-        "g function",
-        columns.clone(),
-    );
-
-    for spec in reduced_roster(config.tuned) {
-        let values = PAPER_SECONDS
-            .iter()
-            .zip(&columns)
-            .map(|(&s, column)| {
-                set.run_cell(
-                    CellKey::new("table4.2a", spec.name(), column.clone()),
-                    &spec,
-                    config.table_strategy(),
-                    config.scale.vax_seconds(s),
-                    &config.cell_policy(),
-                    log,
-                )
-            })
-            .collect();
-        table.push_row(spec.name(), values);
+    SecondsTable {
+        name: "table4.2a",
+        title: "Table 4.2(a) — GOLA from Goto arrangements: total improvement",
+        goto_row: false,
+        eval_cost: 1,
     }
-    table
+    .run(
+        ArrangementSet::with_goto_starts(gola_paper_set(config.seed), config.seed),
+        reduced_roster(config.tuned),
+        config,
+        log,
+    )
 }
 
 #[cfg(test)]

@@ -2,13 +2,14 @@
 //! reduction over 30 multi-pin instances for the 13-method roster at 6, 9
 //! and 12 seconds per instance (§4.3.1).
 
-use crate::budgetmap::{NOLA_EVAL_COST, PAPER_SECONDS};
+use crate::budgetmap::NOLA_EVAL_COST;
 use crate::config::SuiteConfig;
 use crate::instances::nola_paper_set;
 use crate::roster::reduced_roster;
 use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::tables::SecondsTable;
+use crate::telemetry::TelemetryLog;
 
 /// Regenerates Table 4.2(c).
 pub fn run(config: &SuiteConfig) -> Table {
@@ -18,47 +19,19 @@ pub fn run(config: &SuiteConfig) -> Table {
 /// [`run`] with per-cell telemetry and fault isolation (see
 /// [`table4_1::run_logged`](crate::tables::table4_1::run_logged)).
 pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
-    let problems = nola_paper_set(config.seed);
-    let mut set = ArrangementSet::with_random_starts(problems, config.seed);
-    set.replicas = config.replicas;
-    set.schedule = config.schedule;
-
-    let columns: Vec<String> = PAPER_SECONDS
-        .iter()
-        .map(|s| format!("{s:.0} sec"))
-        .collect();
-    let mut table = Table::new(
-        format!(
-            "Table 4.2(c) — NOLA: total density reduction, 30 instances, 15 elements, \
-             150 nets (start density sum {})",
-            set.start_density_sum()
-        ),
-        "g function",
-        columns.clone(),
-    );
-
-    // §4.3.1 compares against [GOTO77] on NOLA as well.
-    let goto = set.goto_reduction();
-    table.push_row("Goto", vec![goto; PAPER_SECONDS.len()]);
-
-    for spec in reduced_roster(config.tuned) {
-        let values = PAPER_SECONDS
-            .iter()
-            .zip(&columns)
-            .map(|(&s, column)| {
-                set.run_cell(
-                    CellKey::new("table4.2c", spec.name(), column.clone()),
-                    &spec,
-                    config.table_strategy(),
-                    config.scale.vax_seconds(s).scale_div(NOLA_EVAL_COST),
-                    &config.cell_policy(),
-                    log,
-                )
-            })
-            .collect();
-        table.push_row(spec.name(), values);
+    SecondsTable {
+        name: "table4.2c",
+        title: "Table 4.2(c) — NOLA: total density reduction, 30 instances, 15 elements, \
+               150 nets",
+        goto_row: true,
+        eval_cost: NOLA_EVAL_COST,
     }
-    table
+    .run(
+        ArrangementSet::with_random_starts(nola_paper_set(config.seed), config.seed),
+        reduced_roster(config.tuned),
+        config,
+        log,
+    )
 }
 
 #[cfg(test)]
