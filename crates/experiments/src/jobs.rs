@@ -36,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use anneal_core::json::{self, escape, Json};
 use anneal_core::schedule::adaptive::AdaptiveMode;
@@ -527,6 +527,10 @@ impl JobSpec {
     /// `watchdog_ms` guard bounds a runaway instance from within). The
     /// `Done` record is pure f64-shortest-representation JSON with no
     /// wall-clock fields — the byte-determinism contract.
+    ///
+    /// The call's wall time is recorded into `job_wall_us{problem}`: run
+    /// time only. A served job's wait in the queue before a worker claims
+    /// it is the separate `job_queue_wait_us{problem}` histogram.
     pub fn execute(&self, cancel: &AtomicBool) -> JobOutcome {
         let _wall =
             metrics::global().span_into("job_wall_us", &[("problem", self.problem.as_str())]);
@@ -799,6 +803,9 @@ struct JobEntry {
     error: Option<String>,
     record: Option<String>,
     cancel: Arc<AtomicBool>,
+    /// When the job entered this process's queue (its `202`, or the
+    /// journal replay): the start of its `job_queue_wait_us` sample.
+    queued_at: Instant,
 }
 
 impl JobEntry {
@@ -809,6 +816,7 @@ impl JobEntry {
             error: None,
             record: None,
             cancel: Arc::new(AtomicBool::new(false)),
+            queued_at: Instant::now(),
         }
     }
 
@@ -991,7 +999,7 @@ impl JobServer {
             .insert(id, JobEntry::new(spec.clone(), JobState::Queued));
         match self.inner.queue.push(id) {
             Ok(()) => {}
-            Err(PushError::Full) => {
+            Err((PushError::Full, _)) => {
                 reg.jobs.remove(&id);
                 metrics::global()
                     .counter("jobs.rejected_backpressure")
@@ -1004,7 +1012,7 @@ impl JobServer {
                     ),
                 );
             }
-            Err(PushError::Closed) => {
+            Err((PushError::Closed, _)) => {
                 reg.jobs.remove(&id);
                 return (503, error_body("server is shutting down"));
             }
@@ -1162,6 +1170,13 @@ fn worker_loop(inner: &Inner) {
                 continue;
             }
             job.state = JobState::Running;
+            let waited = job.queued_at.elapsed().as_micros();
+            metrics::global()
+                .histogram_with(
+                    "job_queue_wait_us",
+                    &[("problem", job.spec.problem.as_str())],
+                )
+                .record(u64::try_from(waited).unwrap_or(u64::MAX));
             let claimed = (job.spec.clone(), Arc::clone(&job.cancel));
             Inner::journal_event(&mut reg, &format!("{{\"job\":{id},\"event\":\"running\"}}"));
             Inner::update_gauges(&reg);

@@ -9,7 +9,10 @@
 //!   facts into the global [`anneal_core::metrics`] registry as
 //!   labeled gauges/counters so `/metrics` and `--metrics PATH` see them.
 //! * [`OpsServer`] — a hand-rolled `std::net::TcpListener` server (the
-//!   workspace is offline/vendored-only, so no hyper/axum) serving:
+//!   workspace is offline/vendored-only, so no hyper/axum): one thread
+//!   blocked in `accept` feeds a fixed pool of handler threads through a
+//!   bounded queue, answers `503` itself when that queue is full, and each
+//!   connection gets one deadline for its whole request. It serves:
 //!   - `GET /metrics` — Prometheus text exposition of the global registry;
 //!   - `GET /healthz` — `200 ok` while the suite is healthy, `503` with
 //!     the reasons once it is degraded (cell failure, lost telemetry,
@@ -25,6 +28,10 @@
 //! attached ([`OpsServer::start`]) those paths answer `404` with a JSON
 //! error body.
 //!
+//! Every answered request is counted into `http_requests_total{route,status}`
+//! and timed into `http_request_us{route}`, where `route` is one of
+//! `metrics`, `healthz`, `progress`, `jobs`, `job` and `other`.
+//!
 //! Both are created only when `--serve` (or, for the board, `--progress`
 //! under process isolation) is on: with the flags absent nothing binds,
 //! nothing is shared, and results stay bitwise-identical. Updates happen
@@ -33,15 +40,17 @@
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use anneal_core::json::escape;
 use anneal_core::metrics;
 
 use crate::jobs::JobServer;
+use crate::scheduler::{PushError, TaskQueue};
 use crate::supervisor::signals;
 
 /// Largest request body `POST /jobs` accepts (a generous bound for an
@@ -394,14 +403,47 @@ fn count_live(state: &BoardState) -> usize {
         .count()
 }
 
-/// The `--serve` HTTP server: a background accept loop over a
-/// non-blocking [`TcpListener`], shut down when the handle drops (end of
-/// the run). One request per connection (`Connection: close`), which is
-/// all a scraper needs.
+/// Handler threads serving accepted connections.
+const HANDLERS: usize = 4;
+
+/// Accepted connections that may wait for a free handler. Past this the
+/// accept thread answers `503` itself and closes the connection.
+const WAITING_CONNECTIONS: usize = 64;
+
+/// The whole request — request line, headers and body — must arrive
+/// within this of the handler taking the connection; a client that sends
+/// slower gets a `400` and is closed.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Longest a handler blocks writing its response to a client that does
+/// not read.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long [`OpsServer`]'s drop waits to connect to its own listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Bytes asked of the socket per read.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// Largest request head (request line plus headers); a longer one is a
+/// `400`.
+const MAX_HEAD: usize = 16 * 1024;
+
+/// The `--serve` HTTP server: one thread blocked in `accept`, handing each
+/// connection through a bounded [`TaskQueue`] to a fixed pool of 4
+/// handler threads. When 64 connections already wait, the accept thread
+/// answers `503` itself. Each connection carries one request
+/// (`Connection: close`), which is all a scraper or a job client needs,
+/// and must deliver it within 2 s, so a slow client holds one handler for
+/// at most that long. The server shuts down when the handle drops (end of
+/// the run): drop wakes the accept with one connection of its own, closes
+/// connections still waiting unserved, and joins the handlers.
 pub struct OpsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    queue: Arc<TaskQueue<TcpStream>>,
+    accept: Option<JoinHandle<()>>,
+    handlers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for OpsServer {
@@ -414,7 +456,7 @@ impl std::fmt::Debug for OpsServer {
 
 impl OpsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9090`; port 0 picks a free port) and
-    /// starts serving `board` in a background thread. The job API is off;
+    /// starts serving `board` on background threads. The job API is off;
     /// `/jobs` paths answer `404`.
     pub fn start(addr: &str, board: Arc<OpsBoard>) -> Result<OpsServer, String> {
         Self::start_with_jobs(addr, board, None)
@@ -432,20 +474,40 @@ impl OpsServer {
         let local = listener
             .local_addr()
             .map_err(|e| format!("--serve: cannot read bound address: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("--serve: cannot set non-blocking: {e}"))?;
         let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => handle(stream, &board, jobs.as_deref()),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
+        let queue = Arc::new(TaskQueue::bounded(WAITING_CONNECTIONS));
+        let handlers = (0..HANDLERS)
+            .map(|_| {
+                let (stop, queue) = (Arc::clone(&stop), Arc::clone(&queue));
+                let (board, jobs) = (Arc::clone(&board), jobs.clone());
+                std::thread::spawn(move || {
+                    while let Some(stream) = queue.pop() {
+                        // Shutting down: connections still waiting are
+                        // closed unserved, so drop never waits on them.
+                        if !stop.load(Ordering::SeqCst) {
+                            handle(stream, &board, jobs.as_deref());
                         }
-                        Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                    }
+                })
+            })
+            .collect();
+        let accept = {
+            let (stop, queue) = (Arc::clone(&stop), Arc::clone(&queue));
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    match stream {
+                        Ok(stream) => {
+                            if let Err((PushError::Full, stream)) = queue.push(stream) {
+                                shed(stream);
+                            }
+                        }
+                        // A failed accept (say, out of file descriptors)
+                        // fails again at once; pausing keeps this thread
+                        // from spinning until descriptors free up.
+                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
                 }
             })
@@ -453,7 +515,9 @@ impl OpsServer {
         Ok(OpsServer {
             addr: local,
             stop,
-            thread: Some(thread),
+            queue,
+            accept: Some(accept),
+            handlers,
         })
     }
 
@@ -465,14 +529,50 @@ impl OpsServer {
 
 impl Drop for OpsServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            t.join().ok();
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the blocked accept with one connection of our own; the
+        // accept thread then sees `stop` and returns. If the connect
+        // fails, the thread stays parked in `accept` until the process
+        // exits rather than hanging this drop on a join.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok();
+        if let Some(accept) = self.accept.take() {
+            if woke {
+                accept.join().ok();
+            }
+        }
+        self.queue.close();
+        for handler in self.handlers.drain(..) {
+            handler.join().ok();
         }
     }
 }
 
-/// The HTTP reason phrase for the status codes the ops plane emits.
+/// Answers `503` on a connection no handler can take. The socket is fresh
+/// and the response small, so a non-blocking write never stalls the
+/// accept thread; if it cannot complete, the connection just closes.
+fn shed(mut stream: TcpStream) {
+    stream.set_nonblocking(true).ok();
+    respond(
+        &mut stream,
+        503,
+        JSON,
+        "{\"error\":\"too many connections\"}",
+    );
+    record_request("other", 503, Instant::now());
+}
+
+const JSON: &str = "application/json; charset=utf-8";
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// The HTTP status line (code and reason phrase) for the status codes the
+/// ops plane emits.
 fn status_line(status: u16) -> String {
     let reason = match status {
         200 => "OK",
@@ -489,26 +589,47 @@ fn status_line(status: u16) -> String {
     format!("{status} {reason}")
 }
 
-/// Reads one request off `stream`: request line, headers, and (for the
-/// job API) up to `Content-Length` bytes of body, bounded by [`MAX_BODY`].
-/// Returns `(method, path, body)`; `Err(413)` when the declared body is
-/// oversized, `Err(400)` on an unreadable request.
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), u16> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
+/// Reads into `chunk` with the read timeout set to what is left until
+/// `deadline`; `Err(400)` once the deadline has passed or the read fails.
+fn read_until(stream: &mut TcpStream, chunk: &mut [u8], deadline: Instant) -> Result<usize, u16> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(400);
+    }
+    stream.set_read_timeout(Some(left)).map_err(|_| 400u16)?;
+    stream.read(chunk).map_err(|_| 400)
+}
+
+/// Reads one request off `stream` by `deadline`: request line, headers,
+/// and (for the job API) up to `Content-Length` bytes of body, bounded by
+/// [`MAX_BODY`]. Returns `(method, path, body)`; `Err(413)` when the
+/// declared body is oversized, `Err(400)` on an unreadable, oversized or
+/// late request.
+fn read_request(
+    stream: &mut TcpStream,
+    deadline: Instant,
+) -> Result<(String, String, String), u16> {
+    let mut buf = Vec::with_capacity(READ_CHUNK);
+    let mut chunk = [0u8; READ_CHUNK];
     let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if buf.len() > 16 * 1024 {
+        let n = read_until(stream, &mut chunk, deadline)?;
+        if n == 0 {
             return Err(400);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(400),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(400),
+        // Scan only the new bytes, plus the 3 before them that a
+        // terminator split across reads may start in.
+        let from = buf.len().saturating_sub(3);
+        buf.extend_from_slice(&chunk[..n]);
+        if let Some(pos) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + pos + 4;
+        }
+        if buf.len() > MAX_HEAD {
+            return Err(400);
         }
     };
+    if header_end > MAX_HEAD {
+        return Err(400);
+    }
     let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
     let mut parts = head.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
@@ -524,27 +645,38 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), u16>
     if content_length > MAX_BODY {
         return Err(413);
     }
-    let mut body = buf[header_end..].to_vec();
+    let mut body = buf.split_off(header_end);
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(400),
+        match read_until(stream, &mut chunk, deadline)? {
+            0 => break,
+            n => body.extend_from_slice(&chunk[..n]),
         }
     }
     body.truncate(content_length);
     Ok((method, path, String::from_utf8_lossy(&body).into_owned()))
 }
 
+/// Counts one answered request into `http_requests_total{route,status}`
+/// and its time since `started` into `http_request_us{route}`. `route` is
+/// one of a fixed set, never the raw path, so a client cannot grow the
+/// label space.
+fn record_request(route: &str, status: u16, started: Instant) {
+    let m = metrics::global();
+    m.counter_with(
+        "http_requests_total",
+        &[("route", route), ("status", &status.to_string())],
+    )
+    .inc();
+    m.histogram_with("http_request_us", &[("route", route)])
+        .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+}
+
 /// Serves one request on `stream`. Any parse or I/O problem just drops
 /// the connection — the ops plane must never take down the run.
-fn handle(stream: TcpStream, board: &OpsBoard, jobs: Option<&JobServer>) {
-    let mut stream = stream;
-    stream.set_nonblocking(false).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .ok();
-    let (method, path, request_body) = match read_request(&mut stream) {
+fn handle(mut stream: TcpStream, board: &OpsBoard, jobs: Option<&JobServer>) {
+    let started = Instant::now();
+    stream.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
+    let (method, path, request_body) = match read_request(&mut stream, started + REQUEST_DEADLINE) {
         Ok(parsed) => parsed,
         Err(status) => {
             let body = if status == 413 {
@@ -552,63 +684,56 @@ fn handle(stream: TcpStream, board: &OpsBoard, jobs: Option<&JobServer>) {
             } else {
                 "{\"error\":\"bad request\"}"
             };
-            respond(
-                &mut stream,
-                &status_line(status),
-                "application/json; charset=utf-8",
-                body,
-            );
+            respond(&mut stream, status, JSON, body);
+            record_request("other", status, started);
             return;
         }
     };
-    const JSON: &str = "application/json; charset=utf-8";
-    const TEXT: &str = "text/plain; charset=utf-8";
     let job_id = path.strip_prefix("/jobs/");
     let (list_path, query) = path.split_once('?').unwrap_or((path.as_str(), ""));
-    let (status, content_type, body) = match (method.as_str(), path.as_str()) {
+    let (route, status, content_type, body) = match (method.as_str(), path.as_str()) {
         ("GET", "/metrics") => (
-            "200 OK".to_string(),
+            "metrics",
+            200,
             "text/plain; version=0.0.4; charset=utf-8",
             metrics::global().render_prometheus(),
         ),
         ("GET", "/healthz") => {
             let body = board.health_body();
-            let status = if board.is_degraded() {
-                "503 Service Unavailable"
-            } else {
-                "200 OK"
-            };
-            (status.to_string(), TEXT, body)
+            let status = if board.is_degraded() { 503 } else { 200 };
+            ("healthz", status, TEXT, body)
         }
-        ("GET", "/progress") => ("200 OK".to_string(), JSON, board.progress_json()),
+        ("GET", "/progress") => ("progress", 200, JSON, board.progress_json()),
         // The job API: delegate verb by verb, JSON all the way down.
-        _ if list_path == "/jobs" || job_id.is_some() => match jobs {
-            None => (
-                status_line(404),
-                JSON,
-                "{\"error\":\"job API not enabled; run `repro serve`\"}".to_string(),
-            ),
-            Some(jobs) => {
-                let (status, body) = match (method.as_str(), job_id) {
+        _ if list_path == "/jobs" || job_id.is_some() => {
+            let route = if job_id.is_some() { "job" } else { "jobs" };
+            let (status, body) = match jobs {
+                None => (
+                    404,
+                    "{\"error\":\"job API not enabled; run `repro serve`\"}".to_string(),
+                ),
+                Some(jobs) => match (method.as_str(), job_id) {
                     ("POST", None) if query.is_empty() => jobs.submit(&request_body),
                     ("GET", None) => jobs.list(query),
                     ("GET", Some(id)) => jobs.get(id),
                     ("DELETE", Some(id)) => jobs.cancel(id),
                     _ => (405, "{\"error\":\"method not allowed\"}".to_string()),
-                };
-                (status_line(status), JSON, body)
-            }
-        },
-        ("GET", _) => (status_line(404), TEXT, "not found\n".into()),
-        _ => (status_line(405), TEXT, "method not allowed\n".into()),
+                },
+            };
+            (route, status, JSON, body)
+        }
+        ("GET", _) => ("other", 404, TEXT, "not found\n".into()),
+        _ => ("other", 405, TEXT, "method not allowed\n".into()),
     };
-    respond(&mut stream, &status, content_type, &body);
+    respond(&mut stream, status, content_type, &body);
+    record_request(route, status, started);
 }
 
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
+fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
+        "HTTP/1.1 {}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        status_line(status),
         body.len()
     );
     stream.write_all(response.as_bytes()).ok();
@@ -714,6 +839,151 @@ mod tests {
         let (status, body) = get(addr, "/healthz");
         assert_eq!(status, "HTTP/1.1 503 Service Unavailable");
         assert!(body.starts_with("degraded:"), "{body}");
+
+        // Each answered request is counted by route and status, and timed
+        // by route; unknown paths share the `other` route.
+        let (_, body) = get(addr, "/metrics");
+        for series in [
+            "http_requests_total{route=\"healthz\",status=\"200\"}",
+            "http_requests_total{route=\"healthz\",status=\"503\"}",
+            "http_requests_total{route=\"progress\",status=\"200\"}",
+            "http_requests_total{route=\"other\",status=\"404\"}",
+            "http_request_us_count{route=\"healthz\"}",
+            "http_request_us_count{route=\"metrics\"}",
+        ] {
+            assert!(body.contains(series), "{series} missing:\n{body}");
+        }
+        assert!(!body.contains("route=\"/nope\""), "{body}");
+    }
+
+    /// Opens a connection to `addr` that sends a request head one header
+    /// line every 400 ms and never ends it, until a write fails or
+    /// `give_up` passes. Returns a second handle on the connection, whose
+    /// `shutdown` stops the drip.
+    fn drip(addr: SocketAddr, give_up: Duration) -> (TcpStream, JoinHandle<()>) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let handle = stream.try_clone().expect("clone");
+        let opened = Instant::now();
+        let thread = std::thread::spawn(move || {
+            let mut line: &[u8] = b"GET /healthz HTTP/1.1\r\n";
+            while opened.elapsed() < give_up && stream.write_all(line).is_ok() {
+                line = b"X-Drip: 1\r\n";
+                std::thread::sleep(Duration::from_millis(400));
+            }
+        });
+        (handle, thread)
+    }
+
+    #[test]
+    fn dropping_an_idle_server_returns_within_a_second() {
+        let server = OpsServer::start("127.0.0.1:0", OpsBoard::new(None)).expect("bind");
+        let started = Instant::now();
+        drop(server);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "drop took {took:?}");
+    }
+
+    #[test]
+    fn dropping_beside_a_dripping_client_waits_at_most_the_request_deadline() {
+        let server = OpsServer::start("127.0.0.1:0", OpsBoard::new(None)).expect("bind");
+        let (client, dripper) = drip(server.local_addr(), Duration::from_secs(10));
+        // Give a handler time to take the connection. If it has not by the
+        // drop, the connection is closed unserved, which is faster still.
+        std::thread::sleep(Duration::from_millis(200));
+        let started = Instant::now();
+        drop(server);
+        let took = started.elapsed();
+        client.shutdown(std::net::Shutdown::Both).ok();
+        dripper.join().expect("dripper exits");
+        assert!(
+            took < REQUEST_DEADLINE + Duration::from_secs(1),
+            "drop took {took:?}"
+        );
+    }
+
+    #[test]
+    fn a_full_handler_queue_is_answered_503_by_the_accept_thread() {
+        let server = OpsServer::start("127.0.0.1:0", OpsBoard::new(None)).expect("bind");
+        let addr = server.local_addr();
+        // Silent connections: each holds a handler until its request
+        // deadline, or a place in the queue.
+        let held: Vec<TcpStream> = (0..HANDLERS + WAITING_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let mut probe = TcpStream::connect(addr).expect("connect");
+        probe.set_read_timeout(Some(REQUEST_DEADLINE)).unwrap();
+        let mut response = String::new();
+        probe.read_to_string(&mut response).expect("read");
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{response}"
+        );
+        assert!(
+            response.ends_with("{\"error\":\"too many connections\"}"),
+            "{response}"
+        );
+        drop(held);
+    }
+
+    /// Sends `request` to a fresh listener, one byte per write when
+    /// `byte_by_byte`, and parses what arrives with [`read_request`].
+    fn parse_sent(request: &[u8], byte_by_byte: bool) -> Result<(String, String, String), u16> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let request = request.to_vec();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            if byte_by_byte {
+                for byte in &request {
+                    stream.write_all(&[*byte]).expect("send");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            } else {
+                stream.write_all(&request).expect("send");
+            }
+            // Stay open until the server has read what it wants.
+            stream
+        });
+        let (mut stream, _) = listener.accept().expect("accept");
+        let parsed = read_request(&mut stream, Instant::now() + Duration::from_secs(30));
+        drop(client.join().expect("client"));
+        parsed
+    }
+
+    #[test]
+    fn a_request_written_byte_by_byte_parses_like_one_written_whole() {
+        let body = "{\"problem\":\"gola\",\"instances\":1}";
+        let request = format!(
+            "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let expected = ("POST".to_string(), "/jobs".to_string(), body.to_string());
+        assert_eq!(parse_sent(request.as_bytes(), false), Ok(expected.clone()));
+        assert_eq!(parse_sent(request.as_bytes(), true), Ok(expected));
+
+        // A body several reads long arrives whole.
+        let body = "x".repeat(3 * READ_CHUNK + 5);
+        let request = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let (_, _, got) = parse_sent(request.as_bytes(), false).expect("parses");
+        assert_eq!(got, body);
+    }
+
+    #[test]
+    fn an_oversized_head_or_declared_body_is_refused() {
+        let request = format!(
+            "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        assert_eq!(parse_sent(request.as_bytes(), false), Err(413));
+        let request = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "x".repeat(MAX_HEAD + 1)
+        );
+        assert_eq!(parse_sent(request.as_bytes(), false), Err(400));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! [`TaskQueue`] is the long-lived counterpart for open-ended work: a
 //! bounded multi-producer/multi-consumer queue whose `push` never blocks
 //! (a full queue is the caller's backpressure signal — the job server
-//! turns it into HTTP 429) and whose `pop` parks consumers until work or
-//! shutdown arrives. Inside each job the instances still fan out through
+//! turns it into HTTP 429, the ops server's accept thread into HTTP 503)
+//! and whose `pop` parks consumers until work or shutdown arrives. Inside
+//! each job the instances still fan out through
 //! [`run_indexed`], so the two layers compose: the queue spreads *jobs*
 //! across workers, the cursor spreads *instances* inside one job.
 
@@ -69,7 +70,7 @@ where
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
     /// The queue holds `capacity` items: the producer must shed load
-    /// (the job server answers 429).
+    /// (the job server answers 429, the ops server 503).
     Full,
     /// [`TaskQueue::close`] was called: no new work is accepted.
     Closed,
@@ -94,7 +95,9 @@ struct QueueState<T> {
 ///
 /// `push` is non-blocking by design: a full queue is a *backpressure
 /// signal* the producer must surface (the job server maps it to HTTP 429)
-/// rather than silently absorb. `pop` blocks until an item arrives or the
+/// rather than silently absorb. A refused item is handed back, so the
+/// producer can still answer through it (the ops server writes its 503
+/// on the refused connection). `pop` blocks until an item arrives or the
 /// queue is closed and drained, so consumer threads can simply loop
 /// `while let Some(item) = queue.pop()`.
 #[derive(Debug)]
@@ -128,14 +131,14 @@ impl<T> TaskQueue<T> {
     }
 
     /// Enqueues `item`, or refuses with the reason ([`PushError::Full`] /
-    /// [`PushError::Closed`]). Never blocks.
-    pub fn push(&self, item: T) -> Result<(), PushError> {
+    /// [`PushError::Closed`]) and the item back. Never blocks.
+    pub fn push(&self, item: T) -> Result<(), (PushError, T)> {
         let mut state = self.lock();
         if state.closed {
-            return Err(PushError::Closed);
+            return Err((PushError::Closed, item));
         }
         if state.items.len() >= self.capacity {
-            return Err(PushError::Full);
+            return Err((PushError::Full, item));
         }
         state.items.push_back(item);
         drop(state);
@@ -263,7 +266,7 @@ mod tests {
         assert!(q.is_empty());
         q.push(1).unwrap();
         q.push(2).unwrap();
-        assert_eq!(q.push(3), Err(PushError::Full));
+        assert_eq!(q.push(3), Err((PushError::Full, 3)));
         assert_eq!(q.len(), 2);
         assert_eq!(q.capacity(), 2);
         assert_eq!(q.pop(), Some(1));
@@ -279,7 +282,7 @@ mod tests {
         q.push("a").unwrap();
         q.push("b").unwrap();
         q.close();
-        assert_eq!(q.push("c"), Err(PushError::Closed));
+        assert_eq!(q.push("c"), Err((PushError::Closed, "c")));
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);

@@ -4,11 +4,15 @@
 //! Prometheus text exposition, `/healthz` answers 200 on a healthy run
 //! and flips to 503 once a fault degrades the suite, and `/progress`
 //! reports cell counts and — under process isolation — per-worker
-//! heartbeat ages.
+//! heartbeat ages. A client that drips its request cannot hold up other
+//! requests, and is closed at the server's request deadline.
 
 mod common;
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::process::Child;
+use std::time::{Duration, Instant};
 
 use common::http::{finish, http_get, poll_until, spawn_serving_args};
 
@@ -118,5 +122,67 @@ fn progress_reports_worker_heartbeats_under_process_isolation() {
         "{metrics}"
     );
     assert!(metrics.contains("workers_live"), "{metrics}");
+    finish(child);
+}
+
+/// Opens a connection to `addr` that sends a request head one header line
+/// every 400 ms and never ends it. The returned thread reads until the
+/// server closes the connection (or `give_up` passes) and yields how long
+/// the connection stayed open and what the server answered.
+fn drip(addr: &str, give_up: Duration) -> std::thread::JoinHandle<(Duration, String)> {
+    let mut writer = TcpStream::connect(addr).expect("connect");
+    let opened = Instant::now();
+    std::thread::spawn(move || {
+        let mut reader = writer.try_clone().expect("clone");
+        let dripper = std::thread::spawn(move || {
+            let mut line: &[u8] = b"GET /healthz HTTP/1.1\r\n";
+            while opened.elapsed() < give_up && writer.write_all(line).is_ok() {
+                line = b"X-Drip: 1\r\n";
+                std::thread::sleep(Duration::from_millis(400));
+            }
+        });
+        reader.set_read_timeout(Some(give_up)).ok();
+        let mut response = Vec::new();
+        let _ = reader.read_to_end(&mut response);
+        let open_for = opened.elapsed();
+        reader.shutdown(Shutdown::Both).ok();
+        dripper.join().expect("dripper exits");
+        (open_for, String::from_utf8_lossy(&response).into_owned())
+    })
+}
+
+#[test]
+fn a_dripping_client_neither_stalls_healthz_nor_outlives_the_deadline() {
+    let (child, addr) = spawn_serving_args(&["serve", "127.0.0.1:0"]);
+    let (status, _) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200);
+
+    let dripping = drip(&addr, Duration::from_secs(8));
+    let probing = Instant::now();
+    let mut probes = 0;
+    while probing.elapsed() < Duration::from_millis(1500) {
+        let started = Instant::now();
+        let (status, response) = http_get(&addr, "/healthz");
+        let took = started.elapsed();
+        assert_eq!(status, 200, "{response}");
+        assert!(
+            took < Duration::from_millis(100),
+            "/healthz took {took:?} beside a dripping client"
+        );
+        probes += 1;
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(probes >= 10, "only {probes} probes");
+
+    // The server's request deadline is 2 s from taking the connection.
+    let (open_for, response) = dripping.join().expect("drip thread");
+    assert!(
+        open_for < Duration::from_secs(3),
+        "the dripping connection stayed open {open_for:?}"
+    );
+    assert!(
+        response.starts_with("HTTP/1.1 400 Bad Request"),
+        "{response}"
+    );
     finish(child);
 }

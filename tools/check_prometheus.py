@@ -16,9 +16,14 @@ text format 0.0.4 rules the in-process renderer promises:
 With `--jobs`, additionally validates the job-server families the
 `repro serve` daemon promises: `jobs_state` is a gauge carrying exactly
 the five job states (queued/running/done/failed/cancelled) with
-non-negative integer values, `job_wall_us` (when present) is a histogram
-whose every series is labeled by `problem`, and the `jobs_*` counters
-(when present) are typed as counters.
+non-negative integer values, `job_wall_us` and `job_queue_wait_us` (when
+present) are histograms whose every series is labeled by `problem`, and
+the `jobs_*` counters (when present) are typed as counters. The HTTP
+families must be present (a scrape follows earlier requests):
+`http_requests_total` is a counter whose every series carries a `route`
+from the server's fixed set and a three-digit `status`, and
+`http_request_us` is a histogram whose every series carries such a
+`route`.
 
 Offline by design (CI must not depend on the network): this validates a
 scraped payload, it does not scrape. Exit status is 0 when the exposition
@@ -173,6 +178,17 @@ JOB_COUNTERS = (
 JOBS_STATE_SAMPLE_RE = re.compile(
     r'(?m)^jobs_state\{state="([^"]*)"\}\s+(\S+)$'
 )
+# The ops server's fixed `route` label values, mirrored from `ops::handle`.
+HTTP_ROUTES = ("metrics", "healthz", "progress", "jobs", "job", "other")
+PROBLEM_HISTOGRAMS = ("job_wall_us", "job_queue_wait_us")
+
+
+def series_labels(text: str, family: str) -> list:
+    """The label dict of every sample line of `family` (with suffixes)."""
+    pattern = re.compile(rf"(?m)^{family}(?:_bucket|_sum|_count)?(\{{[^}}]*\}})?\s")
+    return [
+        dict(LABEL_PAIR_RE.findall(m.group(1) or "")) for m in pattern.finditer(text)
+    ]
 
 
 def check_jobs(text: str) -> list:
@@ -201,12 +217,31 @@ def check_jobs(text: str) -> list:
         if types.get("jobs_state") == "gauge" and state not in seen:
             errors.append(f"`jobs_state` is missing state `{state}`")
 
-    if "job_wall_us" in types:
-        if types["job_wall_us"] != "histogram":
-            errors.append("`job_wall_us` is not a histogram")
-        for m in re.finditer(r"(?m)^job_wall_us\w*(\{[^}]*\})?\s", text):
-            if 'problem="' not in (m.group(1) or ""):
-                errors.append("`job_wall_us` series without a `problem` label")
+    for family in PROBLEM_HISTOGRAMS:
+        if family not in types:
+            continue
+        if types[family] != "histogram":
+            errors.append(f"`{family}` is not a histogram")
+        if any("problem" not in labels for labels in series_labels(text, family)):
+            errors.append(f"`{family}` series without a `problem` label")
+
+    for family, kind, needed in (
+        ("http_requests_total", "counter", ("route", "status")),
+        ("http_request_us", "histogram", ("route",)),
+    ):
+        if types.get(family) != kind:
+            errors.append(f"`{family}` family missing or not a {kind}")
+            continue
+        for labels in series_labels(text, family):
+            missing = [name for name in needed if name not in labels]
+            if missing:
+                errors.append(f"`{family}` series without label(s) {missing}")
+                break
+            if labels["route"] not in HTTP_ROUTES:
+                errors.append(f"`{family}` has unknown route `{labels['route']}`")
+                break
+            if "status" in needed and not re.fullmatch(r"[1-5]\d\d", labels["status"]):
+                errors.append(f"`{family}` has bad status `{labels['status']}`")
                 break
     for counter in JOB_COUNTERS:
         if counter in types and types[counter] != "counter":
